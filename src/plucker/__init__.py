@@ -88,7 +88,6 @@ from .certificates import (
 )
 from .varieties import (
     GrPoint,
-    PointSet,
     VarietySpec,
     closed_richardson_points,
     count_points,

@@ -424,7 +424,8 @@ def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bo
 
 # Serialization: header lines, then one line per cofactor term.
 
-_SYMBOL_RE = re.compile(r"^(\{[0-9,]+\})(?:\^(-?\d+))?$")
+# A power is nonzero and at most nine digits, so int() and PluckerSymbol accept it.
+_SYMBOL_RE = re.compile(r"^(\{[0-9,]+\})(?:\^(-?[1-9][0-9]{0,8}))?$")
 
 
 def _format_terms(expr: LaurentExpression) -> list[str]:
@@ -456,57 +457,78 @@ def format_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_terms(lines: list[str], start: int, count: int, n: int) -> tuple[LaurentExpression, int]:
+def _at(line: int, column: int | None, parse, *args):
+    """``parse(*args)``, with any failure reported as a ParseError at (line, column)."""
+    try:
+        return parse(*args)
+    except (ValueError, ZeroDivisionError) as exc:  # ParseError and ParameterError included
+        raise ParseError(str(exc), line=line, column=column) from None
+
+
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise ParseError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
+def _k_subset(text: str, k: int, n: int) -> KSubset:
+    subset = parse_subset(text, n)
+    if subset.k != k:
+        raise ParseError(f"{subset} does not have k = {k} elements")
+    return subset
+
+
+def _parse_terms(
+    lines: list[tuple[int, str]], start: int, count: int, k: int, n: int
+) -> tuple[LaurentExpression, int]:
     terms = []
-    for off in range(count):
-        ln_no = start + off
-        if ln_no >= len(lines):
-            raise ParseError("unexpected end of certificate", line=ln_no + 1)
-        toks = lines[ln_no].split()
-        if not toks:
-            raise ParseError("empty term line", line=ln_no + 1)
-        try:
-            coeff = Fraction(toks[0])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad coefficient {toks[0]!r}", line=ln_no + 1) from None
+    for idx in range(start, start + count):
+        if idx >= len(lines):
+            raise ParseError("unexpected end of certificate", line=lines[-1][0] + 1)
+        ln_no, text = lines[idx]
+        toks = text.split()
+        coeff = _at(ln_no, 1, Fraction, toks[0])
         symbols = []
         for col, tok in enumerate(toks[1:], start=2):
             m = _SYMBOL_RE.match(tok)
             if not m:
-                raise ParseError(f"bad symbol {tok!r}", line=ln_no + 1, column=col)
-            power = int(m.group(2)) if m.group(2) else 1
-            symbols.append(PluckerSymbol(parse_subset(m.group(1), n), power))
+                raise ParseError(f"bad symbol {tok!r}", line=ln_no, column=col)
+            index = _at(ln_no, col, _k_subset, m.group(1), k, n)
+            symbols.append(PluckerSymbol(index, int(m.group(2) or 1)))
         terms.append((coeff, tuple(symbols)))
     return LaurentExpression(terms), start + count
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "plucker-certificate":
-        raise ParseError("missing certificate header", line=1)
+    # (physical line number, text) of every non-blank line
+    lines = [(no, ln.rstrip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "plucker-certificate":
+        raise ParseError("missing certificate header", line=lines[0][0] if lines else 1)
 
-    def field(idx: int, name: str) -> str:
-        if idx >= len(lines) or not lines[idx].startswith(name + " "):
-            raise ParseError(f"expected {name!r} line", line=idx + 1)
-        return lines[idx][len(name) + 1 :]
+    def field(idx: int, name: str, parse, *args):
+        ln_no, line = lines[idx] if idx < len(lines) else (lines[-1][0] + 1, "")
+        if not line.startswith(name + " "):
+            raise ParseError(f"expected {name!r} line", line=ln_no)
+        return _at(ln_no, None, parse, line[len(name) + 1 :], *args)
 
-    n = int(field(1, "n"))
-    int(field(2, "k"))
-    beta = parse_subset(field(3, "beta"), n)
-    gamma = parse_subset(field(4, "gamma"), n)
-    t = int(field(5, "t"))
-    target = parse_subset(field(6, "target"), n)
-    pivot = parse_subset(field(7, "pivot"), n)
-    count = int(field(8, "cofactor"))
-    cofactor, nxt = _parse_terms(lines, 9, count, n)
+    n = field(1, "n", _natural)
+    k = field(2, "k", _natural)
+    beta = field(3, "beta", _k_subset, k, n)
+    gamma = field(4, "gamma", _k_subset, k, n)
+    t = field(5, "t", _natural)
+    target = field(6, "target", _k_subset, k, n)
+    pivot = field(7, "pivot", _k_subset, k, n)
+    expected = _at(lines[5][0], None, delta, beta, gamma, t)
+    if pivot != expected:
+        message = f"pivot {pivot} is not delta(beta, gamma, t) = {expected}"
+        raise ParseError(message, line=lines[7][0])
+    cofactor, nxt = _parse_terms(lines, 9, field(8, "cofactor", _natural), k, n)
     pivot_inverse = None
     if nxt < len(lines):
-        if not lines[nxt].startswith("pivot-inverse "):
-            raise ParseError("expected 'pivot-inverse' line", line=nxt + 1)
-        inv_count = int(lines[nxt].split()[1])
-        pivot_inverse, nxt = _parse_terms(lines, nxt + 1, inv_count, n)
+        count = field(nxt, "pivot-inverse", _natural)
+        pivot_inverse, nxt = _parse_terms(lines, nxt + 1, count, k, n)
     if nxt != len(lines):
-        raise ParseError("trailing content", line=nxt + 1)
+        raise ParseError("trailing content", line=lines[nxt][0])
     return Certificate(
         target=target,
         pivot=pivot,

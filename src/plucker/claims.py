@@ -21,7 +21,7 @@ from .certificates import (
     verify_certificate,
 )
 from .config import SweepConfig
-from .errors import BudgetError
+from .errors import BudgetError, ParameterError
 from .fields import QQ
 from .matrices import ExactMatrix, enumerate_y, maximal_minors, phi, psi, sample_y, w_membership
 from .permutations import verify_positroidset
@@ -221,7 +221,7 @@ def claim_lem4_certificates(cfg: SweepConfig) -> ClaimReport:
                 for alpha in p_set_complement(beta, gamma, t):
                     try:
                         cert = principal_certificate(beta, gamma, t, alpha)
-                    except Exception as exc:
+                    except (ParameterError, RuntimeError) as exc:
                         failures.append(f"no certificate for {alpha} at ({beta},{gamma},t={t}): {exc}")
                         continue
                     if verify_certificate(cert, points):

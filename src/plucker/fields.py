@@ -118,10 +118,11 @@ class PrimeField:
     """GF(p) for a prime p < 2**31."""
 
     def __init__(self, p: int):
+        # size first: trial division of a huge modulus would run for minutes
+        if isinstance(p, int) and p >= _MAX_PRIME:
+            raise ParameterError(f"p must be below 2**31, got {p}")
         if not isinstance(p, int) or not is_prime(p):
             raise ParameterError(f"{p!r} is not prime")
-        if p >= _MAX_PRIME:
-            raise ParameterError(f"p must be below 2**31, got {p}")
         self.p = p
         self.characteristic = p
         self._elems = [Fp(v, p) for v in range(p)] if p <= _INTERN_LIMIT else None

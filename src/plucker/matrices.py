@@ -175,9 +175,6 @@ class PluckerVector:
     def items(self):
         return zip(enumerate_subsets(self.k, self.n), self.values)
 
-    def support(self) -> frozenset[KSubset]:
-        return frozenset(s for s, v in self.items() if v)
-
     def is_zero(self) -> bool:
         return not any(self.values)
 
@@ -417,22 +414,25 @@ def format_matrix(m: ExactMatrix) -> str:
 
 
 def parse_matrix(text: str) -> ExactMatrix:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    # (physical line number, text) of every line that is neither blank nor a comment
+    numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    lines = [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty matrix text", line=1)
-    head = lines[0].split()
+    head_no, head_text = lines[0]
+    head = head_text.split()
     if head[:2] == ["field", "rational"] and len(head) == 2:
         field = QQ
     elif head[:2] == ["field", "gf"] and len(head) == 3:
         try:
             field = PrimeField(int(head[2]))
         except (ValueError, ParameterError) as exc:
-            raise ParseError(f"bad field line: {exc}", line=1) from None
+            raise ParseError(f"bad field line: {exc}", line=head_no) from None
     else:
-        raise ParseError(f"bad field line {lines[0]!r}", line=1)
+        raise ParseError(f"bad field line {head_text!r}", line=head_no)
     rows = []
     width = None
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         toks = ln.split()
         if width is None:
             width = len(toks)
@@ -446,5 +446,5 @@ def parse_matrix(text: str) -> ExactMatrix:
                 raise ParseError(str(exc), line=ln_no, column=col) from None
         rows.append(row)
     if not rows:
-        raise ParseError("matrix has no rows", line=2)
+        raise ParseError("matrix has no rows", line=head_no + 1)
     return ExactMatrix(rows, field)

@@ -13,6 +13,7 @@ description of the window locus, and closed point-count formulas.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from functools import lru_cache
 from . import reports
 from .errors import BudgetError, ParameterError
 from .fields import PrimeField, is_prime
-from .matrices import ExactMatrix, PluckerVector
+from .matrices import ExactMatrix, PluckerVector, _subset_positions
 from .reports import ClaimReport
 from .subsets import (
     KSubset,
@@ -69,43 +70,27 @@ class VarietySpec:
         for s in itertools.chain(self.must_vanish, self.must_not_vanish):
             if (s.k, s.n) != (self.k, self.n):
                 raise ParameterError(f"{s!r} does not live in S({self.k},{self.n})")
+        # compiled once; not dataclass fields, so equality and hash stay on the sets
+        pos = _subset_positions(self.k, self.n)
+        object.__setattr__(self, "_vanish", sum(1 << pos[s.elements] for s in self.must_vanish))
+        object.__setattr__(self, "_nonvanish", sum(1 << pos[s.elements] for s in self.must_not_vanish))
+
+    def admits(self, support: int) -> bool:
+        """Whether a point with this support lies on the locus.  Bit i of a
+        support is set when the i-th subset of ``enumerate_subsets(k, n)`` is nonzero."""
+        return not support & self._vanish and support & self._nonvanish == self._nonvanish
 
 
+@dataclass(frozen=True, slots=True)
 class GrPoint:
-    """A canonical echelon representative together with its minor vector."""
+    """A canonical echelon representative, its minor vector and its support bitmask."""
 
-    __slots__ = ("matrix", "plucker", "_hash")
-
-    def __init__(self, matrix: ExactMatrix, plucker: PluckerVector):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "plucker", plucker)
-        object.__setattr__(self, "_hash", hash(matrix))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrPoint is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrPoint) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return self._hash
+    matrix: ExactMatrix
+    plucker: PluckerVector = dataclasses.field(compare=False)
+    support: int = dataclasses.field(compare=False)
 
     def __repr__(self) -> str:
         return f"GrPoint({self.matrix!r})"
-
-
-@dataclass(frozen=True)
-class PointSet:
-    k: int
-    n: int
-    q: int
-    points: tuple[GrPoint, ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
 
 
 def _det_mod(grid, cols, q: int) -> int:
@@ -132,10 +117,11 @@ def _det_mod(grid, cols, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grassmannian_cached(k: int, n: int, q: int) -> PointSet:
+def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
     field = PrimeField(q)
     subsets = enumerate_subsets(k, n)
     cols0 = [tuple(e - 1 for e in s.elements) for s in subsets]
+    bits = [1 << i for i in range(len(subsets))]
     points = []
     for pivot in subsets:
         piv0 = [e - 1 for e in pivot.elements]
@@ -153,12 +139,15 @@ def _grassmannian_cached(k: int, n: int, q: int) -> PointSet:
             vals = [_det_mod(grid, cs, q) for cs in cols0]
             matrix = ExactMatrix(grid, field)
             pv = PluckerVector(k, n, field, [field(v) for v in vals])
-            points.append(GrPoint(matrix, pv))
+            support = sum(itertools.compress(bits, vals))
+            points.append(GrPoint(matrix, pv, support))
     assert len(points) == gaussian_binomial(n, k, q)
-    return PointSet(k, n, q, tuple(points))
+    return tuple(points)
 
 
-def enumerate_grassmannian(k: int, n: int, q: int, budget: int = DEFAULT_BUDGET) -> PointSet:
+def enumerate_grassmannian(
+    k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
+) -> tuple[GrPoint, ...]:
     """One echelon representative per k-space of GF(q)^n, guarded by ``budget``."""
     if not 0 < k <= n:
         raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
@@ -201,41 +190,34 @@ def membership(point: GrPoint, spec: VarietySpec) -> bool:
     pv = point.plucker
     if (pv.k, pv.n) != (spec.k, spec.n):
         raise ParameterError("point and spec live on different Grassmannians")
-    return all(not pv[s] for s in spec.must_vanish) and all(
-        pv[s] for s in spec.must_not_vanish
-    )
+    return spec.admits(point.support)
+
+
+def _outside(family: SubsetFamily) -> frozenset[KSubset]:
+    return frozenset(s for s in enumerate_subsets(family.k, family.n) if s not in family)
 
 
 def richardson_spec(beta: KSubset, gamma: KSubset, open_: bool = False) -> VarietySpec:
     """Vanishing outside [beta, gamma]; the open version also inverts the endpoints."""
-    box = interval(beta, gamma)
-    outside = frozenset(s for s in enumerate_subsets(beta.k, beta.n) if s not in box)
     nonvanish = frozenset({beta, gamma}) if open_ else frozenset()
-    return VarietySpec(beta.k, beta.n, outside, nonvanish)
+    return VarietySpec(beta.k, beta.n, _outside(interval(beta, gamma)), nonvanish)
 
 
 def positroid_spec(family: SubsetFamily) -> VarietySpec:
     """Vanishing of every coordinate outside the family."""
-    outside = frozenset(s for s in enumerate_subsets(family.k, family.n) if s not in family)
-    return VarietySpec(family.k, family.n, outside, frozenset())
+    return VarietySpec(family.k, family.n, _outside(family), frozenset())
 
 
 def w_spec(beta: KSubset, gamma: KSubset) -> VarietySpec:
     """Open interval stratum with every mixed minor inverted."""
-    base = richardson_spec(beta, gamma, open_=False)
     deltas = frozenset(delta(beta, gamma, i) for i in range(beta.k + 1))
-    return VarietySpec(beta.k, beta.n, base.must_vanish, deltas)
+    return VarietySpec(beta.k, beta.n, _outside(interval(beta, gamma)), deltas)
 
 
 def divisor_spec(beta: KSubset, gamma: KSubset, t: int) -> VarietySpec:
     """The pivot-coordinate zero locus inside the open interval stratum."""
-    base = richardson_spec(beta, gamma, open_=True)
-    return VarietySpec(
-        beta.k,
-        beta.n,
-        base.must_vanish | {delta(beta, gamma, t)},
-        base.must_not_vanish,
-    )
+    vanish = _outside(interval(beta, gamma)) | {delta(beta, gamma, t)}
+    return VarietySpec(beta.k, beta.n, vanish, frozenset({beta, gamma}))
 
 
 def open_richardson_points(beta: KSubset, gamma: KSubset, q: int) -> tuple[GrPoint, ...]:
@@ -282,16 +264,16 @@ def verify_positroid_divisor(
         raise ParameterError("window family is empty; use the unit certificate check")
     open_spec = richardson_spec(beta, gamma, open_=True)
     pos_spec = positroid_spec(family)
-    pivot = delta(beta, gamma, t)
-    points = enumerate_grassmannian(beta.k, beta.n, q, budget)
-    ambient = [p for p in points if membership(p, open_spec)]
-    lhs = {p for p in ambient if not p.plucker[pivot]}
-    rhs = {p for p in ambient if membership(p, pos_spec)}
+    div_spec = divisor_spec(beta, gamma, t)
+    # Both sides are predicates on a point's support, so the two point sets
+    # are equal exactly when their sets of supports are; one point stands
+    # for each distinct support.
+    reps = {p.support: p for p in enumerate_grassmannian(beta.k, beta.n, q, budget)}
+    lhs = {s for s in reps if div_spec.admits(s)}
+    rhs = {s for s in reps if open_spec.admits(s) and pos_spec.admits(s)}
     if lhs != rhs:
-        diff = next(iter(lhs.symmetric_difference(rhs)))
-        return _report(
-            "Thm7-divisor", params, reports.FAIL, f"set mismatch at {diff!r}", started
-        )
+        witness = f"set mismatch at {reps[min(lhs ^ rhs)]!r}"
+        return _report("Thm7-divisor", params, reports.FAIL, witness, started)
     if lhs:
         return _report("Thm7-divisor", params, reports.PASS, None, started)
     for q2 in extra_primes:
@@ -299,9 +281,7 @@ def verify_positroid_divisor(
             pts2 = enumerate_grassmannian(beta.k, beta.n, q2, budget)
         except BudgetError:
             continue
-        if any(
-            membership(p, open_spec) and not p.plucker[pivot] for p in pts2
-        ):
+        if any(div_spec.admits(p.support) for p in pts2):
             return _report(
                 "Thm7-divisor", params, reports.PASS, f"nonempty over GF({q2})", started
             )
@@ -321,20 +301,16 @@ def verify_complement(
     minus the union of the boundary and window positroid varieties."""
     started = time.monotonic()
     params = {"beta": str(beta), "gamma": str(gamma), "q": q}
-    points = enumerate_grassmannian(beta.k, beta.n, q, budget)
-    closed = [p for p in points if membership(p, richardson_spec(beta, gamma))]
-    lhs = {p for p in closed if membership(p, w_spec(beta, gamma))}
-    removed: set[GrPoint] = set()
-    s0, s1, s2 = sigma_sets(beta, gamma)
-    for family in itertools.chain(s0, s1, s2):
-        spec = positroid_spec(family)
-        removed.update(p for p in closed if membership(p, spec))
-    rhs = set(closed) - removed
+    closed_spec = richardson_spec(beta, gamma)
+    inverted_spec = w_spec(beta, gamma)
+    removed_specs = [positroid_spec(f) for f in itertools.chain(*sigma_sets(beta, gamma))]
+    reps = {p.support: p for p in enumerate_grassmannian(beta.k, beta.n, q, budget)}
+    closed = [s for s in reps if closed_spec.admits(s)]
+    lhs = {s for s in closed if inverted_spec.admits(s)}
+    rhs = {s for s in closed if not any(spec.admits(s) for spec in removed_specs)}
     if lhs != rhs:
-        diff = next(iter(lhs.symmetric_difference(rhs)))
-        return _report(
-            "S7-complement", params, reports.FAIL, f"set mismatch at {diff!r}", started
-        )
+        witness = f"set mismatch at {reps[min(lhs ^ rhs)]!r}"
+        return _report("S7-complement", params, reports.FAIL, witness, started)
     return _report("S7-complement", params, reports.PASS, None, started)
 
 

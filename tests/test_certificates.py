@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plucker.certificates as certs
 from plucker import (
@@ -298,6 +300,36 @@ class TestSerialization:
             parse_certificate(good + "1 {1,2}\n")  # trailing content
         with pytest.raises(ParseError):
             parse_certificate(good.replace("cofactor 1", "cofactor 2"))
+        unit = format_certificate(unit_certificate(ks((1, 4), 5), ks((2, 5), 5), 1))
+        # (text, physical line of the fault): non-integer numbers, a k line
+        # that disagrees with beta, a pivot that is not delta(beta, gamma, t)
+        cases = [
+            (good.replace("n 4", "n four"), 2),
+            (good.replace("k 2", "k 2.0"), 3),
+            (good.replace("t 1", "t x"), 6),
+            (good.replace("cofactor 1", "cofactor one"), 9),
+            (unit.replace("pivot-inverse 1", "pivot-inverse 1/1"), 11),
+            (good.replace("k 2", "k 3"), 4),
+            (good.replace("pivot {1,4}", "pivot {2,4}"), 8),
+            (good.replace("\nt 1", "\n\n\nt -1"), 8),
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                parse_certificate(text)
+            assert err.value.line == line, (text, err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_garbage_raises_only_parse_error(self, data):
+        lines = format_certificate(unit_certificate(ks((1, 4), 5), ks((2, 5), 5), 1)).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        keep = lines[i].split(" ")[0] if data.draw(st.booleans()) else ""
+        lines[i] = keep + data.draw(st.text(alphabet=" {},^-/0123456789", max_size=12))
+        text = data.draw(st.one_of(st.just("\n".join(lines)), st.text()))
+        try:
+            parse_certificate(text)
+        except ParseError:
+            pass
 
 
 def test_relations_on_projective_line_are_trivial():

@@ -15,7 +15,8 @@ def test_is_prime_small():
 
 
 def test_prime_field_rejects_bad_moduli():
-    for bad in (0, 1, 4, 9, 2**31 + 11):
+    # 2**61 - 1 is prime: it must be rejected by size, not by trial division
+    for bad in (0, 1, 4, 9, 2**31 + 11, 2**61 - 1):
         with pytest.raises(ParameterError):
             PrimeField(bad)
 

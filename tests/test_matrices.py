@@ -330,3 +330,17 @@ class TestSerialization:
         assert err.value.line == 2 and err.value.column == 2
         with pytest.raises(ParseError):
             parse_matrix("field gf 6\n1 2\n")
+        with pytest.raises(ParseError) as err:
+            parse_matrix("field rational\n\n# c\n1 2\n1 x\n")
+        assert err.value.line == 5 and err.value.column == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_garbage_raises_only_parse_error(self, data):
+        head = data.draw(st.sampled_from(["field rational", "field gf 5", "field", ""]))
+        body = data.draw(st.text(alphabet=" -/0123456789#x\n", max_size=30))
+        text = data.draw(st.one_of(st.just(head + "\n" + body), st.text()))
+        try:
+            parse_matrix(text)
+        except ParseError:
+            pass

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from plucker import (
     positroid_spec,
     richardson_buckets,
     richardson_spec,
+    sigma_sets,
     subset_leq,
     subset_rank,
     verify_complement,
@@ -83,7 +85,7 @@ class TestEnumeration:
                 assert verify_plucker_relations(point.plucker)
                 assert not point.plucker.is_zero()
         rng = random.Random(3)
-        pts = enumerate_grassmannian(3, 6, 2).points
+        pts = enumerate_grassmannian(3, 6, 2)
         for point in rng.sample(pts, 25):
             assert verify_plucker_relations(point.plucker)
 
@@ -160,6 +162,42 @@ class TestSpecs:
                     m = p.matrix
                     n_mat = m.submatrix_columns(g).inverse() * m
                     assert membership(p, w_spec(b, g)) == w_membership(n_mat, b, g)
+
+
+def frozenset_membership(point, spec):
+    # the definition by coordinate lookups that the support bitmask replaces
+    pv = point.plucker
+    return all(not pv[s] for s in spec.must_vanish) and all(pv[s] for s in spec.must_not_vanish)
+
+
+class TestSupportBitmask:
+    @pytest.mark.parametrize("k,n,q", [(2, 4, 3), (3, 5, 2)])
+    def test_admits_matches_frozenset_oracle(self, k, n, q):
+        points = enumerate_grassmannian(k, n, q)
+        for p in points:
+            assert p.support == sum(1 << i for i, v in enumerate(p.plucker.values) if v)
+        specs = [VarietySpec(k, n, frozenset(), frozenset())]
+        for b, g in iter_comparable_pairs(k, n):
+            specs += [richardson_spec(b, g), richardson_spec(b, g, open_=True), w_spec(b, g)]
+            specs += [divisor_spec(b, g, t) for t in range(1, k) if len(p_set(b, g, t))]
+            specs += [positroid_spec(f) for f in itertools.chain(*sigma_sets(b, g))]
+        for spec in specs:
+            for p in points:
+                assert spec.admits(p.support) == frozenset_membership(p, spec), (spec, p)
+
+
+class TestSetCheckFailures:
+    def test_wrong_family_is_reported_with_a_point(self, monkeypatch):
+        # every positroid spec becomes the closed interval variety: the window
+        # locus grows to the whole open stratum and the removed loci cover
+        # the inverted stratum, so both identities break
+        import plucker.varieties as varieties
+
+        b, g = ks((1, 2), 4), ks((3, 4), 4)
+        monkeypatch.setattr(varieties, "positroid_spec", lambda family: richardson_spec(b, g))
+        for rep in (verify_positroid_divisor(b, g, 1, 3), verify_complement(b, g, 3)):
+            assert rep.verdict == "fail"
+            assert rep.witness.startswith("set mismatch at GrPoint(")
 
 
 class TestDivisorIdentity:
