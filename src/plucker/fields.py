@@ -98,11 +98,12 @@ class Fp:
         if isinstance(other, Fp):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # only the canonical residue, so that equal objects hash alike
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

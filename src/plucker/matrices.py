@@ -13,7 +13,9 @@ using the triangular factorization; both are exact.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -28,15 +30,23 @@ class ExactMatrix:
     __slots__ = ("field", "rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable], field):
-        rws = tuple(tuple(field(x) for x in row) for row in rows)
+        self._set(tuple(tuple(field(x) for x in row) for row in rows), field)
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple, ...], field) -> "ExactMatrix":
+        """Internal: ``rows`` is already a tuple of tuples of elements of ``field``."""
+        m = object.__new__(cls)
+        m._set(rows, field)
+        return m
+
+    def _set(self, rws: tuple[tuple, ...], field) -> None:
         if not rws or not rws[0]:
             raise ParameterError("matrix must have at least one row and column")
-        width = len(rws[0])
-        if any(len(r) != width for r in rws):
+        if len(set(map(len, rws))) > 1:
             raise ParameterError("ragged rows")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rws)
-        object.__setattr__(self, "_hash", hash((field, rws)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -65,6 +75,8 @@ class ExactMatrix:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:  # on first use: most matrices are never hashed
+            object.__setattr__(self, "_hash", hash((self.field, self.rows)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -93,30 +105,13 @@ class ExactMatrix:
         idx = [c - 1 for c in cols]
         if any(not 0 <= c < self.ncols for c in idx):
             raise ParameterError(f"column selection {list(cols)} out of range")
-        return ExactMatrix([[row[c] for c in idx] for row in self.rows], self.field)
+        return ExactMatrix._of_rows(tuple(tuple(row[c] for c in idx) for row in self.rows), self.field)
 
     def det(self):
-        """Exact determinant via Gaussian elimination with row swaps."""
+        """Exact determinant: the one maximal minor of a square matrix."""
         if self.nrows != self.ncols:
             raise ParameterError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.rows]
-        sign = 1
-        acc = self.field.one
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return self.field.zero
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            pivot = a[col][col]
-            acc = acc * pivot
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] / pivot
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return acc if sign == 1 else -acc
+        return _field_minors(self)[0]
 
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:
@@ -150,6 +145,47 @@ def _subset_positions(k: int, n: int) -> dict[tuple[int, ...], int]:
     return {s.elements: i for i, s in enumerate(enumerate_subsets(k, n))}
 
 
+@lru_cache(maxsize=None)
+def _expansion(j: int, n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Laplace expansion along row j: for each j-subset of columns, in the lex
+    order of ``enumerate_subsets(j, n)``, its terms (sign, column, index of the
+    (j-1)-subset without that column), all 0-based."""
+    index = {c: i for i, c in enumerate(itertools.combinations(range(n), j - 1))}
+    return tuple(
+        tuple(((-1) ** (j - 1 - t), c, index[cols[:t] + cols[t + 1 :]]) for t, c in enumerate(cols))
+        for cols in itertools.combinations(range(n), j)
+    )
+
+
+def _minors(rows, n: int) -> list:
+    """Every maximal minor of ``rows`` (of length n) in lex order, those of rows
+    1..j from those of rows 1..j-1.  Only ``+``, ``-`` and ``*`` touch the
+    entries, so this runs unchanged on int, ``Fp`` and ``Fraction``."""
+    minors = [1]
+    for j, row in enumerate(rows, start=1):
+        prev, minors = minors, []
+        for terms in _expansion(j, n):
+            acc = 0
+            for s, c, i in terms:
+                acc += s * row[c] * prev[i]
+            minors.append(acc)
+    return minors
+
+
+def _field_minors(m: ExactMatrix) -> list:
+    """The maximal minors of ``m`` as field elements, computed over int: each
+    rational row is scaled by the lcm of its denominators, undone once at the end."""
+    if isinstance(m.field, Rationals):
+        rows, den = [], 1
+        for row in m.rows:
+            scale = math.lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
+            den *= scale
+        return [Fraction(v, den) for v in _minors(rows, m.ncols)]
+    field = m.field
+    return [field(v) for v in _minors([[x.value for x in row] for row in m.rows], m.ncols)]
+
+
 class PluckerVector:
     """The full vector of maximal minors, indexed by column k-subsets."""
 
@@ -163,7 +199,7 @@ class PluckerVector:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_hash", hash((k, n, field, vals)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PluckerVector is immutable")
@@ -194,6 +230,8 @@ class PluckerVector:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.k, self.n, self.field, self.values)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -206,8 +244,7 @@ def maximal_minors(m: ExactMatrix) -> PluckerVector:
     k, n = m.shape
     if k > n:
         raise ParameterError(f"need k <= n, got {k} x {n}")
-    vals = [m.submatrix_columns(s).det() for s in enumerate_subsets(k, n)]
-    return PluckerVector(k, n, m.field, vals)
+    return PluckerVector(k, n, m.field, _field_minors(m))
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:

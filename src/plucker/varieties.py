@@ -22,8 +22,8 @@ from functools import lru_cache
 
 from . import reports
 from .errors import BudgetError, ParameterError
-from .fields import PrimeField, is_prime
-from .matrices import ExactMatrix, PluckerVector, _subset_positions
+from .fields import _MAX_PRIME, PrimeField, is_prime
+from .matrices import ExactMatrix, PluckerVector, _expansion, _minors, _subset_positions
 from .reports import ClaimReport
 from .subsets import (
     KSubset,
@@ -93,54 +93,46 @@ class GrPoint:
         return f"GrPoint({self.matrix!r})"
 
 
-def _det_mod(grid, cols, q: int) -> int:
-    k = len(grid)
-    if k == 1:
-        return grid[0][cols[0]] % q
-    if k == 2:
-        a, b = grid[0][cols[0]], grid[0][cols[1]]
-        c, d = grid[1][cols[0]], grid[1][cols[1]]
-        return (a * d - b * c) % q
-    if k == 3:
-        a, b, c = (grid[0][j] for j in cols)
-        d, e, f = (grid[1][j] for j in cols)
-        g, h, i = (grid[2][j] for j in cols)
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % q
-    total = 0
-    sign = 1
-    for r in range(k):
-        sub = [[grid[row][j] for j in cols[1:]] for row in range(k) if row != r]
-        minor = _det_mod(sub, tuple(range(k - 1)), q)
-        total += sign * grid[r][cols[0]] * minor
-        sign = -sign
-    return total % q
-
-
 @lru_cache(maxsize=None)
 def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
     field = PrimeField(q)
+    elems = field.elements()
     subsets = enumerate_subsets(k, n)
-    cols0 = [tuple(e - 1 for e in s.elements) for s in subsets]
     bits = [1 << i for i in range(len(subsets))]
+    expansion = _expansion(k, n)
     points = []
     for pivot in subsets:
         piv0 = [e - 1 for e in pivot.elements]
-        pivset = set(piv0)
-        free = [
-            (i, j) for i in range(k) for j in range(n) if j > piv0[i] and j not in pivset
+        last = piv0[-1]
+        free = [(i, j) for i in range(k - 1) for j in range(n) if j > piv0[i] and j not in piv0]
+        base = [[int(j == p) for j in range(n)] for p in piv0[:-1]]
+        # every column right of the last pivot is free in the last row, and
+        # its entries vary fastest, as in one product over all free entries
+        last_free = range(last + 1, n)
+        last_rows = [
+            (elems[0],) * last + (elems[1],) + tuple(elems[v] for v in fill)
+            for fill in itertools.product(range(q), repeat=len(last_free))
         ]
-        base = [[0] * n for _ in range(k)]
-        for i, p in enumerate(piv0):
-            base[i][p] = 1
         for fill in itertools.product(range(q), repeat=len(free)):
             grid = [row[:] for row in base]
             for (i, j), v in zip(free, fill):
                 grid[i][j] = v
-            vals = [_det_mod(grid, cs, q) for cs in cols0]
-            matrix = ExactMatrix(grid, field)
-            pv = PluckerVector(k, n, field, [field(v) for v in vals])
-            support = sum(itertools.compress(bits, vals))
-            points.append(GrPoint(matrix, pv, support))
+            upper = _minors(grid, n)
+            # every k-minor is linear in the last row: coef[c] holds the weight
+            # of that row's column c in each minor, mod q
+            coef = [[0] * len(subsets) for _ in range(n)]
+            for s, terms in enumerate(expansion):
+                for sign, c, i in terms:
+                    coef[c][s] = sign * upper[i] % q
+            vecs = [coef[last]]
+            for c in last_free:
+                multiples = [[v * x % q for x in coef[c]] for v in range(q)]
+                vecs = [[(a + b) % q for a, b in zip(vec, m)] for vec in vecs for m in multiples]
+            upper_rows = tuple(tuple(elems[v] for v in row) for row in grid)
+            for row, vals in zip(last_rows, vecs):
+                matrix = ExactMatrix._of_rows(upper_rows + (row,), field)
+                pv = PluckerVector(k, n, field, [elems[v] for v in vals])
+                points.append(GrPoint(matrix, pv, sum(itertools.compress(bits, vals))))
     assert len(points) == gaussian_binomial(n, k, q)
     return tuple(points)
 
@@ -151,13 +143,16 @@ def enumerate_grassmannian(
     """One echelon representative per k-space of GF(q)^n, guarded by ``budget``."""
     if not 0 < k <= n:
         raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
-    if not is_prime(q):
-        raise ParameterError(f"{q} is not prime")
+    # size and budget first: trial division of a huge q would run for minutes
+    if not 2 <= q < _MAX_PRIME:
+        raise ParameterError(f"q must be a prime below 2**31, got {q}")
     total = gaussian_binomial(n, k, q)
     if total > budget:
         raise BudgetError(
             f"Grassmannian({k},{n}) over GF({q}) has {total} points, over the budget {budget}"
         )
+    if not is_prime(q):
+        raise ParameterError(f"{q} is not prime")
     return _grassmannian_cached(k, n, q)
 
 
@@ -172,16 +167,20 @@ def richardson_buckets(
     the point.
     """
     subsets = enumerate_subsets(k, n)
-    buckets: dict[tuple[KSubset, KSubset], list[GrPoint]] = {}
     by_elements = {s.elements: s for s in subsets}
+    keys: dict[int, tuple[KSubset, KSubset]] = {}
+    buckets: dict[tuple[KSubset, KSubset], list[GrPoint]] = {}
     for point in enumerate_grassmannian(k, n, q):
-        support = [s.elements for s, v in zip(subsets, point.plucker.values) if v]
-        lo = tuple(min(xs) for xs in zip(*support))
-        hi = tuple(max(xs) for xs in zip(*support))
-        lo_s, hi_s = by_elements.get(lo), by_elements.get(hi)
-        assert lo_s is not None and lo in support, "support lost its minimum"
-        assert hi_s is not None and hi in support, "support lost its maximum"
-        buckets.setdefault((lo_s, hi_s), []).append(point)
+        key = keys.get(point.support)
+        if key is None:
+            support = [s.elements for i, s in enumerate(subsets) if point.support >> i & 1]
+            lo = tuple(min(xs) for xs in zip(*support))
+            hi = tuple(max(xs) for xs in zip(*support))
+            lo_s, hi_s = by_elements.get(lo), by_elements.get(hi)
+            assert lo_s is not None and lo in support, "support lost its minimum"
+            assert hi_s is not None and hi in support, "support lost its maximum"
+            key = keys[point.support] = (lo_s, hi_s)
+        buckets.setdefault(key, []).append(point)
     return {key: tuple(pts) for key, pts in buckets.items()}
 
 

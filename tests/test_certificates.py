@@ -24,6 +24,7 @@ from plucker import (
     iter_comparable_pairs,
     maximal_minors,
     open_richardson_points,
+    p_set,
     p_set_complement,
     parse_certificate,
     phi,
@@ -317,6 +318,19 @@ class TestSerialization:
             with pytest.raises(ParseError) as err:
                 parse_certificate(text)
             assert err.value.line == line, (text, err.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_certificates_round_trip(self, data):
+        k, n = data.draw(st.sampled_from([(2, 4), (3, 5)]))
+        beta, gamma = data.draw(st.sampled_from(list(iter_comparable_pairs(k, n))))
+        t = data.draw(st.integers(1, k - 1))
+        targets = list(p_set_complement(beta, gamma, t))
+        if len(p_set(beta, gamma, t)):
+            cert = principal_certificate(beta, gamma, t, data.draw(st.sampled_from(targets)))
+        else:
+            cert = unit_certificate(beta, gamma, t)
+        assert parse_certificate(format_certificate(cert)) == cert
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

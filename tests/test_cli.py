@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from plucker import RunReport, format_matrix, reports
 from plucker.cli import main
@@ -49,6 +53,18 @@ class TestCount:
     def test_full_grassmannian_count(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")
         assert code == 0 and out.strip() == "130"
+
+    def test_huge_modulus_exits_2_at_once(self):
+        # 2**61 - 1 is prime; trial division of it would run for minutes, so a
+        # subprocess with a timeout keeps a regression from hanging the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        base = [sys.executable, "-m", "plucker.cli", "count", "--k", "2", "--n", "4"]
+        for extra in ([], ["--budget", str(10**40)]):
+            argv = base + ["--q", str(2**61 - 1)] + extra
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+            assert done.returncode == 2, done.stderr
+            assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 class TestCertificate:

@@ -21,6 +21,13 @@ def test_prime_field_rejects_bad_moduli():
             PrimeField(bad)
 
 
+# residues of small prime fields mixed with small ints
+small_values = st.one_of(
+    st.builds(lambda p, v: PrimeField(p)(v), st.sampled_from([2, 3, 7]), st.integers()),
+    st.integers(-20, 20),
+)
+
+
 class TestFp:
     F5 = PrimeField(5)
 
@@ -67,6 +74,18 @@ class TestFp:
         assert x * y == y * x
         if y:
             assert (x / y) * y == x
+
+    def test_int_equality_is_canonical(self):
+        f = PrimeField(3)
+        assert f(1) == 1 and f(1) != 4 and f(2) != -1
+        assert len({f(1), 1}) == 1
+        assert f(2) + 4 == f(0)  # arithmetic with ints still reduces mod p
+
+    @settings(deadline=None, max_examples=300)
+    @given(small_values, small_values)
+    def test_equal_implies_equal_hash(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_parse_format_roundtrip(self):
         f = PrimeField(11)

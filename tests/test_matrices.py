@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -82,8 +83,9 @@ class TestMaximalMinors:
         assert maximal_minors(m)[KSubset((3, 4), 4)] == a * d - b * c
 
     def test_rank_deficient(self):
-        m = ExactMatrix([[1, 2, 3], [2, 4, 6]], QQ)
-        assert maximal_minors(m).is_zero()
+        for field in (QQ, F2, F3, PrimeField(7)):
+            for rows in ([[1, 2, 3], [2, 4, 6]], [[1, 2, 3], [0, 0, 0]], [[0, 0], [0, 0]]):
+                assert maximal_minors(ExactMatrix(rows, field)).is_zero()
 
     def test_minors_satisfy_relations(self):
         rng = random.Random(11)
@@ -119,6 +121,53 @@ class TestMaximalMinors:
             gm = g * m
             for s, v in maximal_minors(m).items():
                 assert maximal_minors(gm)[s] == dg * v
+
+
+class TestMinorKernelOracle:
+    """``maximal_minors`` and ``det`` against the Leibniz formula, subset by subset."""
+
+    FIELDS = (QQ, F2, F3, PrimeField(7))
+
+    @staticmethod
+    def draw_matrix(data, field, k, n):
+        if field is QQ:
+            den = st.one_of(st.integers(1, 9), st.integers(10**9, 10**15))
+            entry = st.builds(Fraction, st.integers(-(10**6), 10**6), den)
+        else:
+            entry = st.integers(-50, 50)
+        rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+        shape = data.draw(st.sampled_from(["generic", "zero row", "rank deficient"]))
+        if shape == "zero row":
+            rows[data.draw(st.integers(0, k - 1))] = [0] * n
+        elif shape == "rank deficient" and k > 1:
+            # the last row becomes a combination of the others
+            coeffs = data.draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+            rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        return ExactMatrix(rows, field)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_minors_and_det_match_leibniz(self, leibniz, data):
+        field = data.draw(st.sampled_from(self.FIELDS))
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 6))
+        m = self.draw_matrix(data, field, k, n)
+        pv = maximal_minors(m)
+        for cols, value in zip(itertools.combinations(range(n), k), pv.values):
+            expected = leibniz(m.rows, cols)
+            assert value == expected and type(value) is type(field.one)
+            det = m.submatrix_columns([c + 1 for c in cols]).det()
+            assert det == expected and type(det) is type(field.one)
+
+    def test_large_denominators(self, leibniz):
+        rows = [
+            [Fraction(1, 10**20 + 7), Fraction(-3, 10**18), 5, Fraction(2, 3)],
+            [Fraction(7, 11), Fraction(10**25, 10**25 + 1), Fraction(-1, 2**70), 1],
+            [1, 0, Fraction(1, 997 * 991), Fraction(-5, 6)],
+        ]
+        m = ExactMatrix(rows, QQ)
+        for cols, value in zip(itertools.combinations(range(4), 3), maximal_minors(m).values):
+            assert value == leibniz(m.rows, cols)
 
 
 class TestLDU:
@@ -333,6 +382,19 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             parse_matrix("field rational\n\n# c\n1 2\n1 x\n")
         assert err.value.line == 5 and err.value.column == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_format_parse_round_trip(self, data):
+        field = data.draw(st.sampled_from([QQ, F2, F5, PrimeField(2**31 - 1)]))
+        if field is QQ:
+            entry = st.fractions(max_denominator=10**12)
+        else:
+            entry = st.integers(-(2**40), 2**40)
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+        m = ExactMatrix(rows, field)
+        assert parse_matrix(format_matrix(m)) == m
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -76,8 +76,21 @@ class TestEnumeration:
             enumerate_grassmannian(4, 14, 2)
 
     def test_non_prime_rejected(self):
-        with pytest.raises(ParameterError):
-            enumerate_grassmannian(2, 4, 4)
+        # a budget that admits them must not let bad moduli through (a huge
+        # prime is tested from the CLI, in a subprocess with a timeout)
+        for q in (4, 1):
+            with pytest.raises(ParameterError):
+                enumerate_grassmannian(2, 4, q, budget=10**100)
+
+    @pytest.mark.parametrize("k,n,q", [(1, 4, 3), (2, 4, 3), (3, 5, 2), (4, 6, 2), (3, 3, 5)])
+    def test_points_match_leibniz_minors(self, leibniz, k, n, q):
+        pts = enumerate_grassmannian(k, n, q)
+        column_sets = [[e - 1 for e in s.elements] for s in enumerate_subsets(k, n)]
+        for point in pts:
+            expected = [leibniz(point.matrix.rows, cols) for cols in column_sets]
+            assert list(point.plucker.values) == expected
+            assert point.support == sum(1 << i for i, v in enumerate(expected) if v)
+        assert len({p.matrix for p in pts}) == len(pts) == gaussian_binomial(n, k, q)
 
     def test_points_satisfy_relations(self):
         for q in (2, 3):
