@@ -108,7 +108,11 @@ class ExactMatrix:
         return ExactMatrix._of_rows(tuple(tuple(row[c] for c in idx) for row in self.rows), self.field)
 
     def det(self):
-        """Exact determinant: the one maximal minor of a square matrix."""
+        """Exact determinant: the one maximal minor of a square matrix.
+
+        It comes from the row-by-row Laplace kernel, which costs about
+        n * 2**(n-1) multiplications and caches tables of that size per n:
+        meant for the small minors this library uses, not for large n."""
         if self.nrows != self.ncols:
             raise ParameterError("determinant of a non-square matrix")
         return _field_minors(self)[0]

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import reports
 from .errors import BudgetError, ParameterError
-from .fields import _MAX_PRIME, PrimeField, is_prime
+from .fields import PrimeField
 from .matrices import ExactMatrix, PluckerVector, _expansion, _minors, _subset_positions
 from .reports import ClaimReport
 from .subsets import (
@@ -96,7 +96,8 @@ class GrPoint:
 @lru_cache(maxsize=None)
 def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
     field = PrimeField(q)
-    elems = field.elements()
+    # residue -> field element, made only when used: q may be near 2**31 when k == n
+    elem = field._elems.__getitem__ if field._elems is not None else field
     subsets = enumerate_subsets(k, n)
     bits = [1 << i for i in range(len(subsets))]
     expansion = _expansion(k, n)
@@ -110,7 +111,7 @@ def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
         # its entries vary fastest, as in one product over all free entries
         last_free = range(last + 1, n)
         last_rows = [
-            (elems[0],) * last + (elems[1],) + tuple(elems[v] for v in fill)
+            (field.zero,) * last + (field.one,) + tuple(map(elem, fill))
             for fill in itertools.product(range(q), repeat=len(last_free))
         ]
         for fill in itertools.product(range(q), repeat=len(free)):
@@ -128,10 +129,10 @@ def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
             for c in last_free:
                 multiples = [[v * x % q for x in coef[c]] for v in range(q)]
                 vecs = [[(a + b) % q for a, b in zip(vec, m)] for vec in vecs for m in multiples]
-            upper_rows = tuple(tuple(elems[v] for v in row) for row in grid)
+            upper_rows = tuple(tuple(map(elem, row)) for row in grid)
             for row, vals in zip(last_rows, vecs):
                 matrix = ExactMatrix._of_rows(upper_rows + (row,), field)
-                pv = PluckerVector(k, n, field, [elems[v] for v in vals])
+                pv = PluckerVector(k, n, field, map(elem, vals))
                 points.append(GrPoint(matrix, pv, sum(itertools.compress(bits, vals))))
     assert len(points) == gaussian_binomial(n, k, q)
     return tuple(points)
@@ -143,16 +144,12 @@ def enumerate_grassmannian(
     """One echelon representative per k-space of GF(q)^n, guarded by ``budget``."""
     if not 0 < k <= n:
         raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
-    # size and budget first: trial division of a huge q would run for minutes
-    if not 2 <= q < _MAX_PRIME:
-        raise ParameterError(f"q must be a prime below 2**31, got {q}")
+    PrimeField(q)  # rejects q >= 2**31 by size, before any trial division
     total = gaussian_binomial(n, k, q)
     if total > budget:
         raise BudgetError(
             f"Grassmannian({k},{n}) over GF({q}) has {total} points, over the budget {budget}"
         )
-    if not is_prime(q):
-        raise ParameterError(f"{q} is not prime")
     return _grassmannian_cached(k, n, q)
 
 

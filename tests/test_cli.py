@@ -66,6 +66,16 @@ class TestCount:
             assert done.returncode == 2, done.stderr
             assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
+    def test_largest_modulus_with_one_point(self):
+        # Gr(2,2) has one point over any field, so q = 2**31 - 1 (prime) is
+        # within budget; only the residues a point uses may be made
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "plucker.cli", "count", "--k", "2", "--n", "2", "--q", str(2**31 - 1)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
+
 
 class TestCertificate:
     def test_trivial_target(self, capsys):
