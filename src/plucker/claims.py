@@ -61,6 +61,20 @@ def _rng(cfg: SweepConfig, claim: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{claim}")
 
 
+def _fitting_primes(k: int, n: int, primes, budget: int, notes: list[str]):
+    """Yield each q in ``primes`` whose Grassmannian Gr(k, n) over GF(q) fits
+    ``budget``; for each one that does not, add a "skipped" note once."""
+    for q in primes:
+        try:
+            enumerate_grassmannian(k, n, q, budget)
+        except BudgetError as exc:
+            note = f"(k={k},n={n},q={q}) skipped: {exc}"
+            if note not in notes:
+                notes.append(note)
+            continue
+        yield q
+
+
 def _finish(claim: str, started: float, checks: int, failures: list[str], notes: list[str]) -> ClaimReport:
     params: dict = {"checks": checks}
     if notes:
@@ -206,14 +220,7 @@ def claim_lem4_certificates(cfg: SweepConfig) -> ClaimReport:
             continue
         for beta, gamma in iter_comparable_pairs(k, n):
             field_points = []
-            for q in cfg.primes:
-                try:
-                    enumerate_grassmannian(k, n, q, cfg.budget)
-                except BudgetError as exc:
-                    note = f"(k={k},n={n},q={q}) skipped: {exc}"
-                    if note not in notes:
-                        notes.append(note)
-                    continue
+            for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
                 field_points.extend(p.plucker for p in open_richardson_points(beta, gamma, q))
             rational_points = _rational_w_points(beta, gamma, rng, cfg.rational_samples)
             points = field_points + rational_points
@@ -248,14 +255,7 @@ def claim_cor5_unit(cfg: SweepConfig) -> ClaimReport:
                     continue
                 cert = unit_certificate(beta, gamma, t)
                 pivot = cert.pivot
-                for q in cfg.primes:
-                    try:
-                        enumerate_grassmannian(k, n, q, cfg.budget)
-                    except BudgetError as exc:
-                        note = f"(k={k},n={n},q={q}) skipped: {exc}"
-                        if note not in notes:
-                            notes.append(note)
-                        continue
+                for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
                     for point in open_richardson_points(beta, gamma, q):
                         pv = point.plucker
                         value = pv[pivot]
@@ -291,16 +291,8 @@ def claim_thm7_divisor(cfg: SweepConfig) -> ClaimReport:
             for t in range(1, k):
                 if not len(p_set(beta, gamma, t)):
                     continue
-                for q in cfg.primes:
-                    try:
-                        rep = verify_positroid_divisor(
-                            beta, gamma, t, q, cfg.budget, cfg.extra_primes
-                        )
-                    except BudgetError as exc:
-                        note = f"(k={k},n={n},q={q}) skipped: {exc}"
-                        if note not in notes:
-                            notes.append(note)
-                        continue
+                for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
+                    rep = verify_positroid_divisor(beta, gamma, t, q, cfg.budget, cfg.extra_primes)
                     if rep.verdict == reports.FAIL:
                         failures.append(f"{rep.params}: {rep.witness}")
                     else:
@@ -340,12 +332,7 @@ def claim_s7_complement(cfg: SweepConfig) -> ClaimReport:
             qs = (2,) if 2 in cfg.primes else cfg.primes[:1]
             pair_iter = _spot_pairs(k, n, rng)
             notes.append(f"(k={k},n={n}) spot-checked on {len(pair_iter)} pairs over q={qs}")
-        for q in qs:
-            try:
-                enumerate_grassmannian(k, n, q, cfg.budget)
-            except BudgetError as exc:
-                notes.append(f"(k={k},n={n},q={q}) skipped: {exc}")
-                continue
+        for q in _fitting_primes(k, n, qs, cfg.budget, notes):
             for beta, gamma in pair_iter:
                 rep = verify_complement(beta, gamma, q, cfg.budget)
                 if rep.verdict == reports.FAIL:
@@ -397,12 +384,7 @@ def claim_w_count(cfg: SweepConfig) -> ClaimReport:
         if (k, n) not in grs:
             notes.append(f"S({k},{n}) outside configured ranges")
             continue
-        for q in cfg.primes:
-            try:
-                enumerate_grassmannian(k, n, q, cfg.budget)
-            except BudgetError as exc:
-                notes.append(f"(k={k},n={n},q={q}) skipped: {exc}")
-                continue
+        for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
             for beta, gamma in iter_comparable_pairs(k, n):
                 rep = verify_w_count(beta, gamma, q, cfg.budget)
                 if rep.verdict == reports.FAIL:

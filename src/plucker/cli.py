@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .claims import CLAIM_IDS, run_all
 from .config import load_config
-from .errors import BudgetError, ConfigError, ParameterError, ParseError
+from .errors import BudgetError, ConfigError, DecompositionError, ParameterError, ParseError
 from .matrices import format_matrix, parse_matrix, phi, psi
 from .certificates import format_certificate, principal_certificate, unit_certificate
 from .subsets import p_set, parse_subset
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParseError, ParameterError, BudgetError, OSError) as exc:
+    except (ConfigError, ParseError, ParameterError, BudgetError, DecompositionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

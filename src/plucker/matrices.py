@@ -6,8 +6,11 @@ minors factors uniquely as unit-lower x diagonal x unit-upper; and for a
 comparable pair (beta, gamma) there is a banded matrix space whose rows
 carry an invertible entry at column beta(i), free entries strictly
 between, a pivot 1 at gamma(i), and zeros elsewhere.  ``phi`` moves a
-banded matrix to its reverse reduced echelon form, ``psi`` inverts that
-using the triangular factorization; both are exact.
+banded matrix to its reverse reduced echelon form and ``psi`` inverts
+that.  Both, and ``ldu``, run one exact routine: unpivoted forward
+elimination on a block of columns, which left-multiplies by the inverse
+of that block's unit-lower factor (the gamma block for ``phi``, the beta
+block for ``psi``).
 """
 
 from __future__ import annotations
@@ -117,25 +120,6 @@ class ExactMatrix:
             raise ParameterError("determinant of a non-square matrix")
         return _field_minors(self)[0]
 
-    def inverse(self) -> "ExactMatrix":
-        if self.nrows != self.ncols:
-            raise ParameterError("inverse of a non-square matrix")
-        n = self.nrows
-        one, zero = self.field.one, self.field.zero
-        a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise ParameterError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            pivot = a[col][col]
-            a[col] = [x / pivot for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return ExactMatrix([row[n:] for row in a], self.field)
-
 
 def _dot(row, col, field):
     acc = field.zero
@@ -197,7 +181,9 @@ class PluckerVector:
 
     def __init__(self, k: int, n: int, field, values):
         vals = tuple(values)
-        if len(vals) != len(enumerate_subsets(k, n)):
+        if not 0 < k <= n:
+            raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
+        if len(vals) != math.comb(n, k):
             raise ParameterError("value count does not match the number of k-subsets")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -259,32 +245,42 @@ def verify_plucker_relations(p: PluckerVector) -> bool:
     return all(evaluate(rel, p) == zero for rel in relation_table(p.k, p.n))
 
 
+def _clear_lower(m: ExactMatrix, cols) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """Unpivoted forward elimination on the column block ``cols`` (1-based, one
+    per row): add multiples of earlier rows to later ones until that block is
+    upper triangular.  Returns the reduced rows R and the unit-lower L of the
+    multipliers, so that m = L * R and R = L^-1 * m.  A zero pivot means the
+    block has a vanishing leading principal minor, reported by its 1-based size.
+    """
+    one, zero = m.field.one, m.field.zero
+    rows = list(m.rows)
+    lower = [[one if i == j else zero for j in range(len(rows))] for i in range(len(rows))]
+    for i, c in enumerate(cols):
+        pivot_row = rows[i]
+        pivot = pivot_row[c - 1]
+        if not pivot:
+            raise DecompositionError(i + 1)
+        for r in range(i + 1, len(rows)):
+            if rows[r][c - 1]:
+                f = lower[r][i] = rows[r][c - 1] / pivot
+                rows[r] = tuple(x - f * y for x, y in zip(rows[r], pivot_row))
+    return tuple(rows), tuple(map(tuple, lower))
+
+
 def ldu(s: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """Factor a square matrix as unit-lower x invertible-diagonal x unit-upper.
 
     No row pivoting: a vanishing leading principal minor is a legitimate
-    failure, reported with its 1-based index.
+    failure, reported with its 1-based index.  :func:`_clear_lower` on every
+    column gives the lower factor, and reduced rows that are D times U.
     """
     if s.nrows != s.ncols:
         raise ParameterError("triangular factorization needs a square matrix")
-    n = s.nrows
-    field = s.field
-    one, zero = field.one, field.zero
-    a = [list(row) for row in s.rows]
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = a[col][col]
-        if not pivot:
-            raise DecompositionError(col + 1)
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / pivot
-                lower[r][col] = f
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    diag = [a[i][i] for i in range(n)]
-    d = ExactMatrix([[diag[i] if i == j else zero for j in range(n)] for i in range(n)], field)
-    u = ExactMatrix([[a[i][j] / diag[i] for j in range(n)] for i in range(n)], field)
-    return ExactMatrix(lower, field), d, u
+    zero = s.field.zero
+    reduced, lower = _clear_lower(s, range(1, s.nrows + 1))
+    d = tuple(tuple(x if i == j else zero for j, x in enumerate(row)) for i, row in enumerate(reduced))
+    u = tuple(tuple(x / row[i] for x in row) for i, row in enumerate(reduced))
+    return tuple(ExactMatrix._of_rows(rows, s.field) for rows in (lower, d, u))
 
 
 class YShape:
@@ -389,30 +385,34 @@ def enumerate_y(beta: KSubset, gamma: KSubset, field: PrimeField) -> Iterator[Ex
 def phi(m: ExactMatrix, beta: KSubset, gamma: KSubset) -> ExactMatrix:
     """Reverse reduced echelon form of a banded matrix: gamma-columns become identity.
 
-    The gamma-column submatrix of a banded matrix is lower unipotent, so
-    this left-multiplication preserves every maximal minor exactly.
+    The gamma-column submatrix G of a banded matrix is lower unipotent, so
+    unpivoted elimination on the gamma columns meets only pivots 1, ends
+    at the identity there, and returns G^-1 * m; as det G = 1, every
+    maximal minor is preserved exactly.
     """
     if not y_shape_check(m, beta, gamma):
         raise ShapeError(f"matrix does not fit the banded shape of ({beta}, {gamma})")
-    return m.submatrix_columns(gamma).inverse() * m
+    reduced, _ = _clear_lower(m, gamma)
+    return ExactMatrix._of_rows(reduced, m.field)
 
 
 def psi(n_mat: ExactMatrix, beta: KSubset, gamma: KSubset) -> ExactMatrix:
     """Inverse of :func:`phi` on echelon representatives with the right minors.
 
-    Requires identity at the gamma columns; factors the beta-column
-    submatrix (unit-lower x diagonal x unit-upper exists exactly when the
-    mixed minors are invertible) and clears the lower factor.  A
-    factorization failure signals a violated minor precondition; a result
-    outside the banded shape signals garbage input.
+    Requires identity at the gamma columns.  The beta-column submatrix
+    factors as unit-lower L x diagonal x unit-upper exactly when the mixed
+    minors are invertible; the same unpivoted elimination as :func:`phi`,
+    run on the beta columns, returns L^-1 * n_mat.  A zero pivot
+    (:class:`DecompositionError`) signals a violated minor precondition; a
+    result outside the banded shape signals garbage input.
     """
     shape = YShape(beta, gamma)
     if n_mat.shape != (shape.k, shape.n):
         raise ParameterError(f"expected a {shape.k} x {shape.n} matrix")
     if n_mat.submatrix_columns(gamma) != ExactMatrix.identity(shape.k, n_mat.field):
         raise ParameterError("gamma-column submatrix must be the identity")
-    lower, _, _ = ldu(n_mat.submatrix_columns(beta))
-    m = lower.inverse() * n_mat
+    reduced, _ = _clear_lower(n_mat, beta)
+    m = ExactMatrix._of_rows(reduced, n_mat.field)
     if not y_shape_check(m, beta, gamma):
         raise ShapeError(
             "result left the banded shape; input minors violate the vanishing preconditions"

@@ -131,6 +131,19 @@ class TestParam:
         assert code == 0
         assert out2 == src.read_text()
 
+    def test_vanishing_beta_minor_exits_2(self, capsys, tmp_path):
+        # identity at gamma = {2}, but the beta = {1} block is zero
+        src = tmp_path / "echelon.txt"
+        src.write_text("field rational\n0 1 0\n")
+        code, out, err = run_cli(
+            capsys,
+            "param", "--beta", "{1}", "--gamma", "{2}",
+            "--direction", "psi", "--matrix-file", str(src),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "leading principal minor 1" in err
+        assert "Traceback" not in err
+
     def test_parse_error_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("field rational\n1 x\n")

@@ -13,6 +13,7 @@ from plucker import (
     KSubset,
     ParameterError,
     ParseError,
+    PluckerVector,
     PrimeField,
     ShapeError,
     YShape,
@@ -59,12 +60,6 @@ class TestExactMatrix:
         assert ExactMatrix([[1, 2], [2, 4]], QQ).det() == 0
         assert ExactMatrix([[0, 1], [1, 0]], F3).det() == F3(-1)
 
-    def test_inverse(self):
-        m = ExactMatrix([[2, 1], [1, 1]], QQ)
-        assert m * m.inverse() == ExactMatrix.identity(2, QQ)
-        with pytest.raises(ParameterError):
-            ExactMatrix([[1, 1], [1, 1]], QQ).inverse()
-
     def test_submatrix_columns(self):
         m = ExactMatrix([[1, 2, 3], [4, 5, 6]], QQ)
         assert m.submatrix_columns(KSubset((1, 3), 3)) == ExactMatrix([[1, 3], [4, 6]], QQ)
@@ -97,6 +92,12 @@ class TestMaximalMinors:
         pv = maximal_minors(rational_matrix(rng, 2, 4))
         d = {s.elements: v for s, v in pv.items()}
         assert d[(1, 3)] * d[(2, 4)] - d[(1, 2)] * d[(3, 4)] - d[(1, 4)] * d[(2, 3)] == 0
+
+    def test_plucker_vector_checks_its_length(self):
+        assert PluckerVector(2, 4, QQ, [Fraction(0)] * 6).is_zero()
+        for k, n, count in ((2, 4, 5), (2, 4, 7), (0, 4, 1), (5, 4, 0), (1, 0, 0)):
+            with pytest.raises(ParameterError):
+                PluckerVector(k, n, QQ, [Fraction(0)] * count)
 
     def test_perturbed_vector_fails_relations(self):
         m = ExactMatrix([[1, 0, 2, 3], [0, 1, 5, 7]], QQ)
@@ -187,6 +188,11 @@ class TestLDU:
         with pytest.raises(DecompositionError) as err:
             ldu(ExactMatrix([[0, 1], [1, 0]], QQ))
         assert err.value.index == 1
+        # the 2x2 leading minor vanishes, the 1x1 one does not
+        for field in (QQ, F3):
+            with pytest.raises(DecompositionError) as err:
+                ldu(ExactMatrix([[1, 2, 0], [2, 4, 1], [0, 1, 1]], field))
+            assert err.value.index == 2
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(small_fracs, min_size=9, max_size=9))
@@ -305,12 +311,20 @@ class TestPhiPsi:
                 assert psi(n_mat, b, g) == m
 
     def test_psi_rejects_bad_minors(self):
-        # echelon matrix with vanishing mixed minor: delta_1 = {1,4} for
-        # beta={1,2}, gamma={3,4} needs the (1,1) entry of N_beta nonzero
+        # echelon matrices with a vanishing mixed minor: delta_1 = {1,4} for
+        # beta={1,2}, gamma={3,4} needs the (1,1) entry of N_beta nonzero, and
+        # delta_2 = beta needs det N_beta nonzero; the error names the size
+        # of the vanishing leading minor of N_beta
         b, g = KSubset((1, 2), 4), KSubset((3, 4), 4)
-        n_mat = ExactMatrix([[0, 0, 1, 0], [1, 1, 0, 1]], QQ)
-        with pytest.raises((DecompositionError, ParameterError)):
-            psi(n_mat, b, g)
+        for field in (QQ, F2, F5):
+            for rows, index in (
+                ([[0, 0, 1, 0], [1, 1, 0, 1]], 1),
+                ([[1, 1, 1, 0], [1, 1, 0, 1]], 2),
+            ):
+                with pytest.raises(DecompositionError) as err:
+                    psi(ExactMatrix(rows, field), b, g)
+                assert err.value.index == index
+                assert str(err.value) == f"leading principal minor {index} is zero"
 
     def test_psi_checks_gamma_identity(self):
         b, g = KSubset((1, 2), 4), KSubset((3, 4), 4)
@@ -332,6 +346,34 @@ class TestPhiPsi:
                     alpha = b.replace(b(i), j)
                     assert minors[alpha] == 0
                     assert m[i - 1, j - 1] == 0
+
+
+class TestPhiCramerOracle:
+    """``phi`` against Cramer's rule, entry by entry, on drawn banded matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_phi_matches_cramer(self, cramer, data):
+        field = data.draw(st.sampled_from([QQ, F2, F5, PrimeField(7)]))
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 7))
+        b, g = data.draw(st.sampled_from(list(iter_comparable_pairs(k, n))))
+        if field is QQ:
+            entry = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+        else:
+            entry = st.integers(0, field.p - 1)
+        shape = YShape(b, g)
+        rows = [[0] * n for _ in range(k)]
+        for i in range(1, k + 1):
+            rows[i - 1][g(i) - 1] = 1
+            if g(i) > b(i):
+                rows[i - 1][b(i) - 1] = data.draw(entry.filter(bool))
+            for j in shape.free_columns(i):
+                rows[i - 1][j - 1] = data.draw(entry)
+        m = ExactMatrix(rows, field)
+        got = phi(m, b, g)
+        assert [list(row) for row in got.rows] == cramer(m, g)
+        assert all(type(x) is type(field.one) for row in got.rows for x in row)
 
 
 class TestWMembership:

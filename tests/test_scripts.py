@@ -8,10 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -29,3 +29,9 @@ def test_divisor_degree_table_is_stable():
     header, rows = lines[0], lines[2:]
     assert header.split()[-1] == "stable"
     assert rows and all(row.split()[-1] == "True" for row in rows)
+
+
+def test_param_digest_is_reproducible():
+    out = run_script("param_digest.py", "--count", "30")
+    assert [line.split()[0] for line in out.splitlines()] == ["phi/psi", "garbage", "ldu", "all"]
+    assert out == run_script("param_digest.py", "--count", "30")

@@ -6,6 +6,7 @@ import pytest
 
 from plucker import (
     BudgetError,
+    ExactMatrix,
     KSubset,
     ParameterError,
     VarietySpec,
@@ -167,14 +168,15 @@ class TestSpecs:
         for b, g in iter_comparable_pairs(2, 4):
             assert positroid_spec(interval(b, g)) == richardson_spec(b, g, open_=False)
 
-    def test_w_spec_matches_matrix_membership(self):
-        # on open-stratum points the reverse echelon form exists; the spec
-        # filter and the matrix-side predicate must agree there
+    def test_w_spec_matches_matrix_membership(self, cramer):
+        # on open-stratum points the reverse echelon form exists (Cramer's rule
+        # over the nonzero minor at gamma); the spec filter and the matrix-side
+        # predicate must agree there
         for q in (2, 3):
             for (b, g), pts in richardson_buckets(2, 4, q).items():
                 for p in pts:
                     m = p.matrix
-                    n_mat = m.submatrix_columns(g).inverse() * m
+                    n_mat = ExactMatrix(cramer(m, g), m.field)
                     assert membership(p, w_spec(b, g)) == w_membership(n_mat, b, g)
 
 
