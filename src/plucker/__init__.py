@@ -67,7 +67,6 @@ from .matrices import (
     phi,
     psi,
     sample_y,
-    verify_plucker_relations,
     w_membership,
     y_shape_check,
 )
@@ -85,6 +84,7 @@ from .certificates import (
     relation_table,
     unit_certificate,
     verify_certificate,
+    verify_plucker_relations,
 )
 from .varieties import (
     GrPoint,

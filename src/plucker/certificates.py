@@ -14,9 +14,9 @@ componentwise order (increasing on 1..t, decreasing on t+1..k) makes the
 recursion well-founded with the pivot as unique minimum.
 
 Signs of the exchange relations follow the shuffle convention (parity of
-sorting the modified index sequences) and are numerically validated,
-once per (k, n), against minors of random matrices before any relation
-is handed out; validation failure aborts the build.
+sorting the modified index sequences).  Each relation is numerically
+checked against minors of random matrices the first time it is built,
+before it or its signs are handed out; a failed check aborts the build.
 """
 
 from __future__ import annotations
@@ -236,52 +236,48 @@ def _exchange_terms(
     return out
 
 
-def _relation_unchecked(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression:
-    expr = LaurentExpression.term(1, (PluckerSymbol(alpha), PluckerSymbol(beta)))
-    for sign, a_new, b_new in _exchange_terms(alpha, beta, i):
-        expr = expr - LaurentExpression.term(sign, (PluckerSymbol(a_new), PluckerSymbol(b_new)))
-    return expr
-
-
-def _random_minor_vectors(k: int, n: int, count: int, seed: int) -> list[PluckerVector]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        m = ExactMatrix(
-            [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)], QQ
-        )
-        out.append(maximal_minors(m))
-    return out
+@lru_cache(maxsize=None)
+def _gate_points(k: int, n: int) -> tuple[PluckerVector, ...]:
+    """Minors of ``_GATE_SAMPLES`` seeded random integer k x n matrices."""
+    rng = random.Random(_GATE_SEED)
+    matrices = (
+        ExactMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)], QQ)
+        for _ in range(_GATE_SAMPLES)
+    )
+    return tuple(map(maximal_minors, matrices))
 
 
 @lru_cache(maxsize=None)
-def _relations_validated(k: int, n: int) -> tuple[LaurentExpression, ...]:
-    """Build the full relation table for (k, n) and gate it numerically.
-
-    Every relation must vanish identically on minors of random matrices;
-    any nonzero value means the sign convention is wrong and the build
-    stops here.
+def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentExpression, tuple]:
+    """The relation for the exchange of b of ``other`` into ``alpha``, and its
+    ``_exchange_terms``.  The only source of exchange signs: the relation must
+    vanish on every gate point, or the sign convention is wrong and the build stops.
     """
-    table = []
-    for alpha in enumerate_subsets(k, n):
-        for beta in enumerate_subsets(k, n):
-            for i in beta.elements:
-                if i in alpha:
-                    continue
-                table.append(_relation_unchecked(alpha, beta, i))
-    points = _random_minor_vectors(k, n, _GATE_SAMPLES, _GATE_SEED)
-    for rel in table:
-        for pt in points:
-            if evaluate(rel, pt):
-                raise RuntimeError(
-                    f"sign convention failed validation for (k={k}, n={n}): {rel!r}"
-                )
-    return tuple(table)
+    terms = tuple(_exchange_terms(alpha, other, b))
+    relation = LaurentExpression(
+        [(1, (PluckerSymbol(alpha), PluckerSymbol(other)))]
+        + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
+    )
+    k, n = alpha.k, alpha.n
+    if any(evaluate(relation, pt) for pt in _gate_points(k, n)):
+        raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
+    return relation, terms
 
 
+@lru_cache(maxsize=None)
 def relation_table(k: int, n: int) -> tuple[LaurentExpression, ...]:
-    """All validated exchange relations for S(k, n)."""
-    return _relations_validated(k, n)
+    """All exchange relations for S(k, n), each checked on the gate points."""
+    subsets = enumerate_subsets(k, n)
+    return tuple(
+        _checked_exchange(alpha, other, b)[0]
+        for alpha in subsets for other in subsets for b in other.elements if b not in alpha
+    )
+
+
+def verify_plucker_relations(p: PluckerVector) -> bool:
+    """True iff every quadratic exchange relation vanishes at ``p``."""
+    zero = p.field.zero
+    return all(evaluate(rel, p) == zero for rel in relation_table(p.k, p.n))
 
 
 def plucker_relation(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression:
@@ -290,8 +286,7 @@ def plucker_relation(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression
         raise ParameterError("subsets must share (k, n)")
     if i not in beta or i in alpha:
         raise ParameterError(f"{i} must lie in {beta} but not in {alpha}")
-    _relations_validated(alpha.k, alpha.n)
-    return _relation_unchecked(alpha, beta, i)
+    return _checked_exchange(alpha, beta, i)[0]
 
 
 @dataclass(frozen=True)
@@ -363,7 +358,7 @@ def _cofactor(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> LaurentE
     order = PrecedesT(beta, gamma, t)
     inv = PluckerSymbol(anchor, -1)
     acc = LaurentExpression.zero()
-    for sign, a_new, b_new in _exchange_terms(alpha, anchor, exchanged):
+    for sign, a_new, b_new in _checked_exchange(alpha, anchor, exchanged)[1]:
         if not (subset_leq(beta, a_new) and subset_leq(a_new, gamma)):
             continue
         if not (subset_leq(beta, b_new) and subset_leq(b_new, gamma)):
@@ -382,7 +377,6 @@ def principal_certificate(
     complement = p_set_complement(beta, gamma, t)
     if alpha not in complement:
         raise ParameterError(f"{alpha} does not avoid the window of ({beta}, {gamma}, t={t})")
-    _relations_validated(beta.k, beta.n)
     cof = _cofactor(beta, gamma, t, alpha)
     cof.validate_localized(beta, gamma)
     return Certificate(

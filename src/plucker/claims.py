@@ -391,14 +391,17 @@ def claim_w_count(cfg: SweepConfig) -> ClaimReport:
                     failures.append(f"{rep.params}: {rep.witness}")
                 else:
                     checks += 1
-    if (2, 4) in grs:
+    primes = cfg.interpolation_primes
+    if (2, 4) not in grs:
+        notes.append("S(2,4) outside configured ranges; interpolation skipped")
+    elif len(tuple(_fitting_primes(2, 4, primes, cfg.budget, notes))) < len(primes):
+        notes.append("interpolation skipped: a degree certificate needs every interpolation prime")
+    else:
         for beta, gamma in iter_comparable_pairs(2, 4):
             for t in (1,):
                 if not len(p_set(beta, gamma, t)):
                     continue
-                result = interpolate_count_polynomial(
-                    divisor_spec(beta, gamma, t), cfg.interpolation_primes, cfg.budget
-                )
+                result = interpolate_count_polynomial(divisor_spec(beta, gamma, t), primes, cfg.budget)
                 want = expected_open_dimension(beta, gamma) - 1
                 if result["degree"] != want or not result["stable"]:
                     failures.append(
@@ -407,8 +410,6 @@ def claim_w_count(cfg: SweepConfig) -> ClaimReport:
                     )
                 else:
                     checks += 1
-    else:
-        notes.append("S(2,4) outside configured ranges; interpolation skipped")
     return _finish(claim, started, checks, failures, notes)
 
 

@@ -22,6 +22,7 @@ from .matrices import format_matrix, parse_matrix, phi, psi
 from .certificates import format_certificate, principal_certificate, unit_certificate
 from .subsets import p_set, parse_subset
 from .varieties import (
+    count_points,
     divisor_spec,
     enumerate_grassmannian,
     membership,
@@ -83,6 +84,8 @@ def _locus_spec(args):
         raise ParameterError(f"--spec {args.spec} needs --beta and --gamma")
     beta = parse_subset(args.beta, args.n)
     gamma = parse_subset(args.gamma, args.n)
+    if beta.k != args.k or gamma.k != args.k:
+        raise ParameterError(f"--beta {beta} and --gamma {gamma} must have --k {args.k} elements")
     if args.spec == "richardson":
         return richardson_spec(beta, gamma, open_=False)
     if args.spec == "open-richardson":
@@ -151,11 +154,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     spec = _locus_spec(args)
-    points = enumerate_grassmannian(args.k, args.n, args.q, args.budget)
     if spec is None:
-        print(len(points))
+        print(len(enumerate_grassmannian(args.k, args.n, args.q, args.budget)))
     else:
-        print(sum(1 for p in points if membership(p, spec)))
+        print(count_points(spec, args.q, args.budget))
     return 0
 
 

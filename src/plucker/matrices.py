@@ -237,14 +237,6 @@ def maximal_minors(m: ExactMatrix) -> PluckerVector:
     return PluckerVector(k, n, m.field, _field_minors(m))
 
 
-def verify_plucker_relations(p: PluckerVector) -> bool:
-    """True iff every quadratic exchange relation vanishes at ``p``."""
-    from .certificates import evaluate, relation_table
-
-    zero = p.field.zero
-    return all(evaluate(rel, p) == zero for rel in relation_table(p.k, p.n))
-
-
 def _clear_lower(m: ExactMatrix, cols) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """Unpivoted forward elimination on the column block ``cols`` (1-based, one
     per row): add multiples of earlier rows to later ones until that block is

@@ -153,13 +153,48 @@ class TestPluckerRelation:
                     assert evaluate(rel, pv) == 0
 
     def test_gate_fails_closed(self, monkeypatch):
-        certs._relations_validated.cache_clear()
+        # every cached holder of a sign is cleared, so the broken rule is seen
+        caches = (certs._checked_exchange, certs._cofactor, certs.relation_table)
+        for cache in caches:
+            cache.cache_clear()
         monkeypatch.setattr(certs, "_sort_sign", lambda seq: 1)
-        with pytest.raises(RuntimeError):
-            certs._relations_validated(2, 4)
-        monkeypatch.undo()
-        certs._relations_validated.cache_clear()
-        assert len(certs._relations_validated(2, 4)) > 0
+        try:
+            with pytest.raises(RuntimeError, match="sign convention"):
+                relation_table(2, 4)
+            with pytest.raises(RuntimeError, match="sign convention"):
+                plucker_relation(ks((1, 2), 4), ks((3, 4), 4), 3)
+            # this certificate's own recursion uses a broken exchange
+            beta, gamma = ks((1, 2, 5), 5), ks((3, 4, 5), 5)
+            with pytest.raises(RuntimeError, match="sign convention"):
+                principal_certificate(beta, gamma, 2, ks((3, 4, 5), 5))
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+        assert len(relation_table(2, 4)) > 0
+
+    def test_certificate_checks_only_the_exchanges_it_uses(self, monkeypatch):
+        # the S(3,6) certificate whose recursion uses the most exchanges
+        used = []
+        exchange_terms = certs._exchange_terms
+
+        def recording(alpha, other, b):
+            used.append((alpha, other, b))
+            return exchange_terms(alpha, other, b)
+
+        certs._checked_exchange.cache_clear()
+        certs._cofactor.cache_clear()
+        monkeypatch.setattr(certs, "_exchange_terms", recording)
+        try:
+            principal_certificate(ks((1, 2, 5), 6), ks((3, 4, 6), 6), 2, ks((3, 4, 5), 6))
+            assert 0 < certs._checked_exchange.cache_info().currsize == len(used) <= 4
+        finally:
+            monkeypatch.undo()
+            certs._checked_exchange.cache_clear()
+            certs._cofactor.cache_clear()
+        table = relation_table(3, 6)
+        assert len(table) == 600
+        assert all(certs._checked_exchange(*key)[0] in table for key in used)
 
 
 class TestPrecedesT:

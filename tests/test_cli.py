@@ -54,6 +54,25 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")
         assert code == 0 and out.strip() == "130"
 
+    def test_subset_size_other_than_k_exits_2_before_enumerating(self, capsys, monkeypatch):
+        import plucker.cli as cli_mod
+
+        def no_enumeration(*args):
+            raise AssertionError("enumerated before checking --k")
+
+        monkeypatch.setattr(cli_mod, "enumerate_grassmannian", no_enumeration)
+        monkeypatch.setattr(cli_mod, "count_points", no_enumeration)
+        for command in ("count", "enumerate"):
+            code, out, err = run_cli(
+                capsys,
+                command,
+                "--k", "2", "--n", "4", "--q", "3",
+                "--spec", "w", "--beta", "{1,2,3}", "--gamma", "{2,3,4}",
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "--k 2" in err
+            assert "Traceback" not in err
+
     def test_huge_modulus_exits_2_at_once(self):
         # 2**61 - 1 is prime; trial division of it would run for minutes, so a
         # subprocess with a timeout keeps a regression from hanging the suite
@@ -233,6 +252,18 @@ class TestVerifyAll:
         report_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify-all", "--report", str(report_path))
         assert code == 1 and "overall: FAIL" in out
+
+    def test_low_budget_skips_interpolation_with_a_note(self):
+        from plucker import SweepConfig
+        from plucker.claims import claim_w_count
+
+        report = claim_w_count(SweepConfig(budget=300).validate())
+        assert report.verdict == reports.PASS
+        assert report.params["checks"] > 0  # the closed-formula counts still run
+        notes = report.params["notes"]
+        skipped = "(k=2,n=4,q=5) skipped: Grassmannian(2,4) over GF(5) has 806 points, over the budget 300"
+        assert skipped in notes
+        assert notes[-1] == "interpolation skipped: a degree certificate needs every interpolation prime"
 
 
 class TestReportDeterminism:

@@ -35,3 +35,9 @@ def test_param_digest_is_reproducible():
     out = run_script("param_digest.py", "--count", "30")
     assert [line.split()[0] for line in out.splitlines()] == ["phi/psi", "garbage", "ldu", "all"]
     assert out == run_script("param_digest.py", "--count", "30")
+
+
+def test_certificate_digest_is_reproducible():
+    out = run_script("certificate_digest.py", "--max-k", "2", "--max-n", "4")
+    assert [line.split()[0] for line in out.splitlines()] == ["relations", "principal", "unit", "all"]
+    assert out == run_script("certificate_digest.py", "--max-k", "2", "--max-n", "4")
