@@ -22,6 +22,7 @@ from .subsets import (
     KSubset,
     SubsetFamily,
     SubsetInterval,
+    avoids_window,
     covers,
     cyclic_shift,
     delta,
@@ -82,8 +83,11 @@ from .certificates import (
     precedes_t,
     principal_certificate,
     relation_table,
+    relation_triples,
+    relation_value,
     unit_certificate,
     verify_certificate,
+    verify_pivot_inverse,
     verify_plucker_relations,
 )
 from .varieties import (

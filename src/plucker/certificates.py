@@ -14,13 +14,34 @@ componentwise order (increasing on 1..t, decreasing on t+1..k) makes the
 recursion well-founded with the pivot as unique minimum.
 
 Signs of the exchange relations follow the shuffle convention (parity of
-sorting the modified index sequences).  Each relation is numerically
-checked against minors of random matrices the first time it is built,
-before it or its signs are handed out; a failed check aborts the build.
+sorting the modified index sequences).  Each relation is checked, as index
+triples (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``, on
+the integer minors of seeded random integer matrices the first time it is
+built, before it or its signs are handed out; a failed check aborts the
+build.
+
+A certificate is verified as one compiled polynomial identity on plain
+ints.  Every cofactor monomial has degree 0, so multiplying by L (the lcm
+of the coefficient denominators) and by Delta_beta^a * Delta_gamma^b (a, b
+the largest inverse powers; a parsed certificate may invert other
+coordinates too, and each is cleared the same way) gives
+
+    L * Delta_target * Delta_beta^a * Delta_gamma^b = sum_i c_i * Delta_pivot * m_i
+
+with int c_i and monomials m_i of nonnegative powers, homogeneous of one
+degree on both sides.  It therefore holds at a minor vector exactly when
+it holds at any nonzero multiple of that vector, where the inverted
+coordinates do not vanish.  A GF(q) point is read as its residues and
+compared mod q; a rational point as its coordinates times the lcm of
+their denominators.  The rational points of the banded piece are the
+minors of a banded matrix itself: its gamma-column block G is lower
+unipotent, so ``phi`` (which left-multiplies by G^-1) changes no maximal
+minor, as det G = 1.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -29,10 +50,10 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import EvaluationError, ParameterError, ParseError
-from .fields import QQ
-from .matrices import ExactMatrix, PluckerVector, maximal_minors
+from .matrices import PluckerVector, _subset_positions, integer_minors
 from .subsets import (
     KSubset,
+    avoids_window,
     delta,
     enumerate_subsets,
     p_set,
@@ -236,22 +257,37 @@ def _exchange_terms(
     return out
 
 
+def relation_value(triples, x: list[int]) -> int:
+    """The value of a relation given as index triples (sign, i, j) at the int
+    coordinates ``x``: the sum of sign * x[i] * x[j]."""
+    return sum(s * x[i] * x[j] for s, i, j in triples)
+
+
 @lru_cache(maxsize=None)
-def _gate_points(k: int, n: int) -> tuple[PluckerVector, ...]:
+def _gate_minors(k: int, n: int) -> tuple[list[int], ...]:
     """Minors of ``_GATE_SAMPLES`` seeded random integer k x n matrices."""
     rng = random.Random(_GATE_SEED)
-    matrices = (
-        ExactMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)], QQ)
+    return tuple(
+        integer_minors([[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)], n)[0]
         for _ in range(_GATE_SAMPLES)
     )
-    return tuple(map(maximal_minors, matrices))
+
+
+def _triples(alpha: KSubset, other: KSubset, terms) -> tuple[tuple[int, int, int], ...]:
+    """The exchange relation of ``alpha``, ``other`` and their ``_exchange_terms``
+    as index triples (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``."""
+    pos = _subset_positions(alpha.k, alpha.n)
+    return ((1, pos[alpha.elements], pos[other.elements]),) + tuple(
+        (-sign, pos[a.elements], pos[o.elements]) for sign, a, o in terms
+    )
 
 
 @lru_cache(maxsize=None)
 def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentExpression, tuple]:
     """The relation for the exchange of b of ``other`` into ``alpha``, and its
-    ``_exchange_terms``.  The only source of exchange signs: the relation must
-    vanish on every gate point, or the sign convention is wrong and the build stops.
+    ``_exchange_terms``.  The only source of exchange signs: the relation, as
+    index triples, must vanish on every gate matrix's minors, or the sign
+    convention is wrong and the build stops.
     """
     terms = tuple(_exchange_terms(alpha, other, b))
     relation = LaurentExpression(
@@ -259,25 +295,42 @@ def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentEx
         + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
     )
     k, n = alpha.k, alpha.n
-    if any(evaluate(relation, pt) for pt in _gate_points(k, n)):
+    triples = _triples(alpha, other, terms)
+    if any(relation_value(triples, x) for x in _gate_minors(k, n)):
         raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
     return relation, terms
 
 
+def _exchanges(k: int, n: int):
+    """Every exchange (alpha, other, b) of S(k, n), in table order."""
+    subsets = enumerate_subsets(k, n)
+    return (
+        (alpha, other, b)
+        for alpha in subsets for other in subsets for b in other.elements if b not in alpha
+    )
+
+
 @lru_cache(maxsize=None)
 def relation_table(k: int, n: int) -> tuple[LaurentExpression, ...]:
-    """All exchange relations for S(k, n), each checked on the gate points."""
-    subsets = enumerate_subsets(k, n)
+    """All exchange relations for S(k, n), each checked on the gate matrices."""
+    return tuple(_checked_exchange(*key)[0] for key in _exchanges(k, n))
+
+
+def relation_triples(k: int, n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The relations of ``relation_table(k, n)``, in its order, as index triples
+    (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``: the sum of
+    sign * Delta_i * Delta_j vanishes at every minor vector, and at every
+    nonzero multiple of one.  A relation that cancels to zero keeps its triples."""
     return tuple(
-        _checked_exchange(alpha, other, b)[0]
-        for alpha in subsets for other in subsets for b in other.elements if b not in alpha
+        _triples(alpha, other, _checked_exchange(alpha, other, b)[1])
+        for alpha, other, b in _exchanges(k, n)
     )
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
     """True iff every quadratic exchange relation vanishes at ``p``."""
-    zero = p.field.zero
-    return all(evaluate(rel, p) == zero for rel in relation_table(p.k, p.n))
+    x, q = _int_form(p, range(len(p.values)))
+    return not any(_nonzero(relation_value(triples, x), q) for triples in relation_triples(p.k, p.n))
 
 
 def plucker_relation(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression:
@@ -301,8 +354,8 @@ class PrecedesT:
         return p_set_complement(self.beta, self.gamma, self.t)
 
     def leq(self, a: KSubset, b: KSubset) -> bool:
-        fam = self.family()
-        if a not in fam or b not in fam:
+        context = (self.beta, self.gamma, self.t)
+        if not (avoids_window(a, *context) and avoids_window(b, *context)):
             raise ParameterError("both subsets must avoid the window inside the interval")
         t = self.t
         return all(a(i) <= b(i) for i in range(1, t + 1)) and all(
@@ -374,8 +427,7 @@ def principal_certificate(
     beta: KSubset, gamma: KSubset, t: int, alpha: KSubset
 ) -> Certificate:
     """Certificate that the target is a pivot multiple, built by exchange recursion."""
-    complement = p_set_complement(beta, gamma, t)
-    if alpha not in complement:
+    if not avoids_window(alpha, beta, gamma, t):
         raise ParameterError(f"{alpha} does not avoid the window of ({beta}, {gamma}, t={t})")
     cof = _cofactor(beta, gamma, t, alpha)
     cof.validate_localized(beta, gamma)
@@ -403,17 +455,114 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
     )
 
 
-def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bool:
-    """Exact check of the certificate identity at every supplied point."""
+def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
+    """``Delta_lhs = Delta_pivot * expr`` (``1 = ...`` when ``lhs`` is None) as
+    one polynomial identity on int coordinates.
+
+    Every monomial of ``expr`` must have degree deg(lhs) - 1, else
+    ParameterError.  With L the lcm of the coefficient denominators and D the
+    product of the inverted coordinates, each to its largest inverse power, the
+    identity times L * D is  L * D * Delta_lhs = sum_i c_i * Delta_pivot * m_i,
+    homogeneous, with int c_i and nonnegative powers.  Returns (L, used,
+    inverted, terms): ``used`` lists the lex positions read, and ``inverted``
+    and the (coefficient, ((slot, power), ...)) ``terms`` refer to slots of
+    ``used``; the identity holds where the terms sum to 0.
+    """
+    pos = _subset_positions(cert.beta.k, cert.beta.n)
+    want = -1 if lhs is None else 0
+    inverse: dict[int, int] = {}
+    for _, mono in expr.terms:
+        degree = sum(s.power for s in mono)
+        if degree != want:
+            body = "*".join(map(str, mono)) or "1"
+            raise ParameterError(f"monomial {body} has degree {degree}, not {want}")
+        for s in mono:
+            if s.power < 0:
+                p = pos[s.index.elements]
+                inverse[p] = max(inverse.get(p, 0), -s.power)
+    scale = math.lcm(*(c.denominator for c, _ in expr.terms))
+
+    def cleared(factors) -> dict[int, int]:
+        """The powers of D times the monomial of ``factors`` (position, power)."""
+        powers = dict(inverse)
+        for p, e in factors:
+            powers[p] = powers.get(p, 0) + e
+        return {p: e for p, e in powers.items() if e}
+
+    pivot = pos[cert.pivot.elements]
+    sides = [(scale, cleared(() if lhs is None else [(pos[lhs.elements], 1)]))]
+    for c, mono in expr.terms:
+        factors = [(pivot, 1)] + [(pos[s.index.elements], s.power) for s in mono]
+        sides.append((-int(c * scale), cleared(factors)))
+    used = sorted({p for _, powers in sides for p in powers})
+    slot = {p: i for i, p in enumerate(used)}
+    terms = tuple((c, tuple((slot[p], e) for p, e in powers.items())) for c, powers in sides)
+    return scale, used, tuple(slot[p] for p in inverse), terms
+
+
+def _int_form(point: PluckerVector, used) -> tuple[list[int], int]:
+    """The coordinates of ``point`` at the positions ``used`` as ints, and the
+    modulus to compare by: the residues and q over GF(q); over QQ, 0 and the
+    coordinates times the lcm of their denominators, a nonzero multiple."""
+    values = point.values
+    q = point.field.characteristic
+    if q:
+        return [values[p].value for p in used], q
+    coords = [values[p] for p in used]
+    scale = 1
+    for c in coords:
+        scale = math.lcm(scale, c.denominator)
+    return [c.numerator * (scale // c.denominator) for c in coords], 0
+
+
+def _nonzero(value: int, q: int) -> bool:
+    return bool(value % q if q else value)
+
+
+def _value(terms, x: list[int]) -> int:
+    """The sum of the compiled ``terms`` at the int coordinates ``x``."""
+    total = 0
+    for c, mono in terms:
+        for i, e in mono:
+            c *= x[i] ** e
+        total += c
+    return total
+
+
+def _holds(cert: Certificate, identity, points: Iterable[PluckerVector]) -> bool:
+    """Whether a compiled identity holds at every point, compared exactly."""
+    scale, used, inverted, terms = identity
+    k, n = cert.beta.k, cert.beta.n
     for point in points:
-        try:
-            lhs = point[cert.target]
-            rhs = point[cert.pivot] * evaluate(cert.cofactor, point)
-        except EvaluationError as exc:
-            raise EvaluationError(f"{exc} at point {point!r}") from exc
-        if lhs != rhs:
+        if point.k != k or point.n != n:
+            raise ParameterError(f"a point of Gr({point.k}, {point.n}), not of Gr({k}, {n})")
+        x, q = _int_form(point, used)
+        for i in inverted:
+            if not x[i]:
+                index = enumerate_subsets(k, n)[used[i]]
+                raise EvaluationError(f"coordinate {index} vanishes but is inverted at point {point!r}")
+        if q and not scale % q:
+            raise ZeroDivisionError(f"a coefficient denominator vanishes mod {q}")
+        if _nonzero(_value(terms, x), q):
             return False
     return True
+
+
+def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bool:
+    """Exact check of the certificate identity at every supplied point.
+
+    The identity is compiled to int form (see the module docstring); a
+    cofactor monomial of nonzero degree raises ParameterError, and an inverted
+    coordinate that vanishes at a point raises EvaluationError."""
+    return _holds(cert, _compile(cert, cert.target, cert.cofactor), points)
+
+
+def verify_pivot_inverse(cert: Certificate, points: Iterable[PluckerVector]) -> bool:
+    """Exact check of  Delta_pivot * pivot_inverse = 1  at every supplied point,
+    compiled like :func:`verify_certificate`."""
+    if cert.pivot_inverse is None:
+        raise ParameterError("the certificate records no pivot inverse")
+    return _holds(cert, _compile(cert, None, cert.pivot_inverse), points)
 
 
 # Serialization: header lines, then one line per cofactor term.

@@ -1,6 +1,7 @@
 """Command line driver.
 
-Subcommands: ``verify-all`` (run every claim and write a JSON report),
+Subcommands: ``verify-all`` (run every claim, or those named by
+``--only``, and write a JSON report),
 ``certificate`` (print one ideal-membership certificate), ``param``
 (apply the banded/echelon maps to a matrix file), ``enumerate`` (list
 finite-field points of a locus), ``count`` (count them).
@@ -47,6 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--q", help="comma-separated primes, overrides the configured list")
     va.add_argument("--budget", type=int, help="enumeration budget override")
     va.add_argument("--report", default="plucker_report.json", help="JSON report path")
+    va.add_argument(
+        "--only", metavar="CLAIM[,CLAIM]", help="run only these claims, reported in the usual order"
+    )
 
     cert = sub.add_parser("certificate", help="print one membership certificate")
     cert.add_argument("--n", type=int, required=True)
@@ -97,7 +101,18 @@ def _locus_spec(args):
     return divisor_spec(beta, gamma, args.t)
 
 
+def _claim_selection(text: str) -> tuple[str, ...]:
+    """The claim ids named in ``text``, in ``CLAIM_IDS`` order."""
+    named = {c.strip() for c in text.split(",") if c.strip()}
+    unknown = sorted(named - set(CLAIM_IDS))
+    if unknown or not named:
+        what = f"unknown claim id(s) {', '.join(unknown)}" if unknown else "--only names no claim"
+        raise ConfigError(f"{what}; valid ids: {', '.join(CLAIM_IDS)}")
+    return tuple(c for c in CLAIM_IDS if c in named)
+
+
 def _cmd_verify_all(args) -> int:
+    only = None if args.only is None else _claim_selection(args.only)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
@@ -106,7 +121,7 @@ def _cmd_verify_all(args) -> int:
     if args.budget is not None:
         overrides["budget"] = str(args.budget)
     cfg = load_config(path=args.config, overrides=overrides)
-    report = run_all(cfg)
+    report = run_all(cfg) if only is None else run_all(cfg, only)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     width = max(len(c) for c in CLAIM_IDS)

@@ -160,16 +160,26 @@ def _minors(rows, n: int) -> list:
     return minors
 
 
+def integer_minors(rows, n: int) -> tuple[list[int], int]:
+    """The maximal minors of rational (or int) ``rows`` of length n, computed
+    over int: each row is scaled by the lcm of its denominators.  Returns the
+    minors of the scaled rows and the product of the scales; dividing by it
+    gives the true minors, and without the division they are the same point
+    of the Grassmannian."""
+    scaled, den = [], 1
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (scale // x.denominator) for x in row])
+        den *= scale
+    return _minors(scaled, n), den
+
+
 def _field_minors(m: ExactMatrix) -> list:
-    """The maximal minors of ``m`` as field elements, computed over int: each
-    rational row is scaled by the lcm of its denominators, undone once at the end."""
+    """The maximal minors of ``m`` as field elements, computed over int; for a
+    rational matrix the row scales of :func:`integer_minors` are undone once at the end."""
     if isinstance(m.field, Rationals):
-        rows, den = [], 1
-        for row in m.rows:
-            scale = math.lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (scale // x.denominator) for x in row])
-            den *= scale
-        return [Fraction(v, den) for v in _minors(rows, m.ncols)]
+        minors, den = integer_minors(m.rows, m.ncols)
+        return [Fraction(v, den) for v in minors]
     field = m.field
     return [field(v) for v in _minors([[x.value for x in row] for row in m.rows], m.ncols)]
 
@@ -351,8 +361,8 @@ def _build_y(shape: YShape, field, units, frees) -> ExactMatrix:
             row[b - 1] = next(uit)
         for j in shape.free_columns(i):
             row[j - 1] = next(fit)
-        rows.append(row)
-    return ExactMatrix(rows, field)
+        rows.append(tuple(row))
+    return ExactMatrix._of_rows(tuple(rows), field)  # every entry is already in ``field``
 
 
 def sample_y(beta: KSubset, gamma: KSubset, field, seed) -> ExactMatrix:

@@ -306,6 +306,10 @@ def _window(beta: KSubset, gamma: KSubset, t: int) -> tuple[int, int]:
     return beta(t + 1), gamma(t)
 
 
+def _meets(alpha: KSubset, lo: int, hi: int) -> bool:
+    return any(lo <= x <= hi for x in alpha.elements)
+
+
 def p_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """Members of [beta, gamma] meeting the window [beta(t+1), gamma(t)].
 
@@ -313,13 +317,31 @@ def p_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """
     lo, hi = _window(beta, gamma, t)
     fam = interval(beta, gamma)
-    members = [a for a in fam if any(lo <= x <= hi for x in a)]
+    members = [a for a in fam.members if _meets(a, lo, hi)]
     return SubsetFamily(members, beta.k, beta.n)
 
 
 def p_set_complement(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """Members of [beta, gamma] avoiding the window [beta(t+1), gamma(t)]."""
-    return interval(beta, gamma) - p_set(beta, gamma, t)
+    fam = interval(beta, gamma)
+    lo, hi = _window(beta, gamma, t)
+    members = [a for a in fam.members if not _meets(a, lo, hi)]
+    return SubsetFamily(members, beta.k, beta.n)
+
+
+def avoids_window(alpha: KSubset, beta: KSubset, gamma: KSubset, t: int) -> bool:
+    """Whether ``alpha`` lies in ``p_set_complement(beta, gamma, t)``, tested
+    from the interval ends and the window bounds without building the family;
+    the same errors for a bad (beta, gamma, t)."""
+    if not subset_leq(beta, gamma):
+        raise EmptyIntervalError(f"{beta} is not componentwise <= {gamma}")
+    lo, hi = _window(beta, gamma, t)
+    return (
+        (alpha.k, alpha.n) == (beta.k, beta.n)
+        and subset_leq(beta, alpha)
+        and subset_leq(alpha, gamma)
+        and not _meets(alpha, lo, hi)
+    )
 
 
 def i_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
@@ -327,7 +349,7 @@ def i_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     if not subset_leq(beta, gamma):
         raise EmptyIntervalError(f"{beta} is not componentwise <= {gamma}")
     lo, hi = _window(beta, gamma, t)
-    members = [a for a in enumerate_subsets(beta.k, beta.n) if any(lo <= x <= hi for x in a)]
+    members = [a for a in enumerate_subsets(beta.k, beta.n) if _meets(a, lo, hi)]
     return SubsetFamily(members, beta.k, beta.n)
 
 

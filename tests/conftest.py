@@ -29,6 +29,32 @@ def cramer_solve(m, cols):
     ]
 
 
+def evaluate_verdict(cert, points):
+    """Whether ``point[target] == point[pivot] * evaluate(cofactor, point)`` at
+    every point, one field element at a time: the reference for the compiled
+    int identity of ``verify_certificate``."""
+    from plucker import evaluate
+
+    return all(p[cert.target] == p[cert.pivot] * evaluate(cert.cofactor, p) for p in points)
+
+
+def evaluate_inverse_verdict(cert, points):
+    """Whether ``point[pivot] * evaluate(pivot_inverse, point) == 1`` at every point."""
+    from plucker import evaluate
+
+    return all(p[cert.pivot] * evaluate(cert.pivot_inverse, p) == p.field.one for p in points)
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    return evaluate_verdict
+
+
+@pytest.fixture(scope="session")
+def inverse_oracle():
+    return evaluate_inverse_verdict
+
+
 @pytest.fixture(scope="session")
 def leibniz():
     return leibniz_minor

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,10 @@ from plucker import (
     PluckerSymbol,
     PrecedesT,
     PrimeField,
+    PluckerVector,
     delta,
+    enumerate_grassmannian,
+    enumerate_subsets,
     evaluate,
     format_certificate,
     iter_comparable_pairs,
@@ -32,9 +36,11 @@ from plucker import (
     precedes_t,
     principal_certificate,
     relation_table,
+    relation_triples,
     sample_y,
     unit_certificate,
     verify_certificate,
+    verify_pivot_inverse,
 )
 
 
@@ -387,3 +393,164 @@ def test_relations_on_projective_line_are_trivial():
     assert table and all(rel.is_zero() for rel in table)
     pv = maximal_minors(ExactMatrix([[1, 2, 3]], QQ))
     assert all(evaluate(rel, pv) == 0 for rel in table)
+
+
+def certificates_of(k, n):
+    """Every principal and unit certificate of S(k, n)."""
+    for beta, gamma in iter_comparable_pairs(k, n):
+        for t in range(1, k):
+            for alpha in p_set_complement(beta, gamma, t):
+                yield principal_certificate(beta, gamma, t, alpha)
+            if not len(p_set(beta, gamma, t)):
+                yield unit_certificate(beta, gamma, t)
+
+
+def probe_points(beta, gamma, rng):
+    """Points with Delta_beta and Delta_gamma nonzero, at GF(2), GF(3) and over
+    QQ: some of the open stratum, where every certificate holds, and others
+    drawn from the whole Grassmannian, where most do not."""
+    k, n = beta.k, beta.n
+    points = []
+    for q in (2, 3):
+        points += field_points(beta, gamma, q)[:3]
+        grassmannian = enumerate_grassmannian(k, n, q)
+        drawn = [grassmannian[rng.randrange(len(grassmannian))].plucker for _ in range(40)]
+        points += [p for p in drawn if p[beta] and p[gamma]][:4]
+    points += rational_w_points(beta, gamma, 2, seed=rng.randrange(10**6))
+    drawn = [rational_minors(rng, k, n) for _ in range(3)]
+    return points + [p for p in drawn if p[beta] and p[gamma]]
+
+
+GRASSMANNIANS = ((2, 4), (2, 5), (3, 5), (3, 6))
+
+
+class TestCompiledIdentity:
+    """``verify_certificate`` evaluates one compiled int identity; the reference
+    is ``evaluate`` on field elements (``oracle`` in conftest.py)."""
+
+    @pytest.mark.parametrize("k,n", GRASSMANNIANS)
+    def test_agrees_with_the_oracle_point_by_point(self, k, n, oracle, inverse_oracle):
+        rng = random.Random(f"compiled:{k}:{n}")
+        verdicts = {True: 0, False: 0}
+        units = 0
+        pair = points = None
+        for cert in certificates_of(k, n):
+            if (cert.beta, cert.gamma) != pair:
+                pair = (cert.beta, cert.gamma)
+                points = probe_points(*pair, rng)
+            for point in points:
+                got = verify_certificate(cert, [point])
+                assert got == oracle(cert, [point]), (cert, point)
+                verdicts[got] += 1
+                if cert.pivot_inverse is not None:
+                    got = verify_pivot_inverse(cert, [point])
+                    assert got == inverse_oracle(cert, [point]), (cert, point)
+                    units += 1
+            assert verify_certificate(cert, points) == oracle(cert, points)
+        assert verdicts[True] and verdicts[False] and units
+
+    @staticmethod
+    def flip_sign(identity):
+        scale, used, inverted, terms = identity
+        c, mono = terms[1]
+        return scale, used, inverted, (terms[0], (-c, mono)) + terms[2:]
+
+    @staticmethod
+    def drop_inverse(slot):
+        def mutate(identity):
+            scale, used, inverted, terms = identity
+            c, mono = terms[0]
+            lowered = tuple((i, e - (i == slot)) for i, e in mono)
+            return scale, used, inverted, ((c, tuple(m for m in lowered if m[1])),) + terms[1:]
+
+        return mutate
+
+    @pytest.mark.parametrize("k,n", GRASSMANNIANS)
+    def test_mutations_fail(self, k, n, monkeypatch):
+        compile_ = certs._compile
+        mutation = []
+        monkeypatch.setattr(certs, "_compile", lambda *args: mutation[0](compile_(*args)))
+        pair = points = None
+        mutants = certificates = 0
+        for cert in certificates_of(k, n):
+            certificates += 1
+            if (cert.beta, cert.gamma) != pair:
+                pair = (cert.beta, cert.gamma)
+                points = field_points(*pair, 3) + rational_w_points(*pair, 3, seed=11)
+            identity = compile_(cert, cert.target, cert.cofactor)
+            mutations = [self.flip_sign] + [self.drop_inverse(slot) for slot in identity[2]]
+            for mutate in mutations:
+                mutation[:] = [mutate]
+                assert not verify_certificate(cert, points), (cert, mutate)
+                mutants += 1
+        assert mutants > certificates
+
+    def test_parsed_monomial_of_nonzero_degree_raises(self):
+        cert = principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
+        text = format_certificate(cert)
+        assert "\n1 {2,3} {2,4}^-1\n" in text
+        bad = parse_certificate(text.replace("\n1 {2,3} {2,4}^-1\n", "\n1 {2,3}\n"))
+        with pytest.raises(ParameterError, match="degree 1, not 0"):
+            verify_certificate(bad, field_points(cert.beta, cert.gamma, 3))
+        unit = unit_certificate(ks((1, 4), 5), ks((2, 5), 5), 1)
+        wrong = Certificate(unit.target, unit.pivot, unit.cofactor, unit.beta, unit.gamma, 1,
+                            pivot_inverse=unit.cofactor)
+        with pytest.raises(ParameterError, match="not -1"):
+            verify_pivot_inverse(wrong, [])
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+    def test_vanishing_inverted_coordinate_raises(self, field, oracle):
+        beta, gamma = ks((1, 3), 4), ks((2, 4), 4)
+        cert = principal_certificate(beta, gamma, 1, ks((2, 3), 4))
+        assert cert.cofactor.negative_power_indices() == {beta, gamma}
+        for zero, unit in ((beta, gamma), (gamma, beta)):
+            # identity columns at ``unit``, zero elsewhere: Delta_unit = 1, Delta_zero = 0
+            rows = [[int(j == c) for j in range(1, 5)] for c in unit]
+            point = maximal_minors(ExactMatrix(rows, field))
+            assert point[unit] and not point[zero]
+            for check in (verify_certificate, oracle):
+                with pytest.raises(EvaluationError, match=re.escape(str(zero))):
+                    check(cert, [point])
+
+    def test_half_coefficient(self, oracle):
+        cert = principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
+        half = Certificate(cert.target, cert.pivot, cert.cofactor.times_term(Fraction(1, 2), ()),
+                           cert.beta, cert.gamma, 1)
+        gamma = cert.gamma
+        points = [p.plucker for p in enumerate_grassmannian(2, 4, 5) if p.plucker[gamma]]
+        verdicts = [verify_certificate(half, [p]) for p in points]
+        assert verdicts == [oracle(half, [p]) for p in points]
+        assert True in verdicts and False in verdicts
+        point = next(p.plucker for p in enumerate_grassmannian(2, 4, 2) if p.plucker[gamma])
+        for check in (verify_certificate, oracle):
+            with pytest.raises(ZeroDivisionError):
+                check(half, [point])
+
+    def test_point_of_another_grassmannian_rejected(self):
+        cert = principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
+        with pytest.raises(ParameterError):
+            verify_certificate(cert, [rational_minors(random.Random(3), 2, 5)])
+
+
+class TestIntegerRelations:
+    def test_gate_minors_are_the_rational_gate_points(self):
+        for k, n in ((2, 4), (3, 6)):
+            rng = random.Random(certs._GATE_SEED)
+            matrices = [
+                ExactMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)], QQ)
+                for _ in range(certs._GATE_SAMPLES)
+            ]
+            rational = [maximal_minors(m) for m in matrices]
+            assert [list(p.values) for p in rational] == [list(x) for x in certs._gate_minors(k, n)]
+
+    @pytest.mark.parametrize("k,n,empty", [(1, 3, 6), (2, 4, 24), (3, 6, 180)])
+    def test_triples_are_the_relations_empty_ones_included(self, k, n, empty):
+        table, triples = relation_table(k, n), relation_triples(k, n)
+        assert len(table) == len(triples)
+        assert sum(rel.is_zero() for rel in table) == empty
+        # any int vector, Plucker or not: the triples are the relation polynomial
+        rng = random.Random(k * 100 + n)
+        x = [rng.randint(-9, 9) for _ in range(len(enumerate_subsets(k, n)))]
+        point = PluckerVector(k, n, QQ, x)
+        for rel, tr in zip(table, triples):
+            assert sum(s * x[i] * x[j] for s, i, j in tr) == evaluate(rel, point)

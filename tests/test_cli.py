@@ -201,6 +201,31 @@ class TestVerifyAll:
             "W-count",
         ]
 
+    def test_only_runs_the_named_claims_in_claim_order(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "k_range = 2:2\nn_range = 4:4\nprimes = 2\nrational_samples = 3\nmatrix_samples = 3\n"
+        )
+        report_path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "verify-all", "--config", str(cfg), "--report", str(report_path),
+            "--only", "W-count, Eq1-relations,W-count",
+        )
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert [c["claim"] for c in doc["claims"]] == ["Eq1-relations", "W-count"]
+        assert [line.split()[0] for line in out.splitlines()[:2]] == ["Eq1-relations", "W-count"]
+
+    def test_only_with_an_unknown_id_exits_2_listing_the_valid_ids(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "verify-all", "--report", str(report_path), "--only", "Eq1-relations,Lem5"
+        )
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "unknown claim id(s) Lem5" in err
+        assert "valid ids: Eq1-relations, Thm3-roundtrip" in err and "W-count" in err
+        assert not report_path.exists()
+
     def test_seed_changes_keep_verdicts(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(

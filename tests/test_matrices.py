@@ -285,6 +285,18 @@ class TestPhiPsi:
         m = sample_y(b, g, QQ, seed=17)
         assert maximal_minors(phi(m, b, g)) == maximal_minors(m)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_phi_preserves_every_maximal_minor(self, data):
+        # the gamma block of a banded matrix is lower unipotent, so det G = 1:
+        # the minors of sample_y's matrix are the minors of its echelon form
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 7))
+        beta, gamma = data.draw(st.sampled_from(list(iter_comparable_pairs(k, n))))
+        field = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(5), PrimeField(7)]))
+        m = sample_y(beta, gamma, field, data.draw(st.integers(0, 2**32)))
+        assert maximal_minors(phi(m, beta, gamma)) == maximal_minors(m)
+
     def test_banded_example_membership(self):
         m = sample_y(FIG_BETA, FIG_GAMMA, QQ, seed=23)
         n_mat = phi(m, FIG_BETA, FIG_GAMMA)

@@ -10,6 +10,7 @@ from plucker import (
     ParameterError,
     SubsetFamily,
     SubsetInterval,
+    avoids_window,
     covers,
     cyclic_shift,
     delta,
@@ -235,6 +236,24 @@ class TestWindowFamilies:
             p_set(b, g, 0)
         with pytest.raises(ParameterError):
             i_set(b, g, 2)
+
+    def test_complement_partitions_the_interval_and_matches_avoids_window(self):
+        for k, n in ((2, 5), (3, 6)):
+            subsets = enumerate_subsets(k, n)
+            for b, g in iter_comparable_pairs(k, n):
+                for t in range(1, k):
+                    comp = p_set_complement(b, g, t)
+                    assert comp == interval(b, g) - p_set(b, g, t)
+                    assert {a for a in subsets if avoids_window(a, b, g, t)} == comp.members
+
+    def test_avoids_window_errors_match_the_family(self):
+        b, g, a = ks((1, 2), 4), ks((3, 4), 4), ks((1, 4), 4)
+        for bad in ((g, b, 1), (b, g, 0), (b, g, 2)):
+            for build in (p_set_complement, lambda *args: avoids_window(a, *args)):
+                with pytest.raises(ParameterError) as err:
+                    build(*bad)
+                assert (err.type is EmptyIntervalError) == (bad[0] == g)
+        assert not avoids_window(ks((1, 5), 5), b, g, 1)  # another (k, n): not a member
 
 
 class TestCyclicShift:
