@@ -4,17 +4,17 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N --pr P
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` (T is BENCHMARK.json's ``run_seconds`` unless ``--seconds`` is
-given) once in each checkout, one process at a time; the pairs alternate
+--trace 0`` (T is BENCHMARK.json's ``run_seconds``, the same for both
+checkouts) once in each checkout, one process at a time; the pairs alternate
 which checkout goes first, so that a machine whose speed drifts favours
 neither.  For every end-to-end metric of CHANGE_DIR's BENCHMARK.json it
 records each side's values, median and quartiles (``statistics.quantiles``
 with n=4, as ``perfbench/spread.py`` does), and how many pairs the change
 won, in the metric's ``better`` direction.
 
-The result goes into ``BENCH_<P>.json`` (or ``--out``) under the key
-"W seed S"; entries for other workloads and seeds already in the file are
-kept, so one file collects every comparison of a change.  Only the
+The result goes into ``BENCH_<P>.json`` under the key "W seed S"; entries
+for other workloads and seeds already in the file are kept, so one file
+collects every comparison of a change.  Only the
 standard library is used, and nothing under ``perfbench/`` is written
 except the scratch directory that ``run.py`` makes and removes.
 """
@@ -76,13 +76,10 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int,
-                        help="run.py --seconds (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--pr", required=True, help="names the output BENCH_<PR>.json")
-    parser.add_argument("--out", type=Path, help="output path (default BENCH_<PR>.json)")
     args = parser.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -92,7 +89,7 @@ def main() -> int:
             runs[side].append(result)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"pair {i + 1} {side:6} wall_s {wall:.3f} correct {result['correct']}", flush=True)
-    out_path = args.out or Path(f"BENCH_{args.pr}.json")
+    out_path = Path(f"BENCH_{args.pr}.json")
     doc = json.loads(out_path.read_text(encoding="utf-8")) if out_path.exists() else {}
     doc.setdefault("about", "scripts/bench_pairs.py: alternating parent/change pairs of "
                    "perfbench/run.py --trace 0; medians, quartiles and change wins per metric.")

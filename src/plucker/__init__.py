@@ -83,8 +83,6 @@ from .certificates import (
     precedes_t,
     principal_certificate,
     relation_table,
-    relation_triples,
-    relation_value,
     unit_certificate,
     verify_certificate,
     verify_pivot_inverse,

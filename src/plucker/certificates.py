@@ -14,11 +14,11 @@ componentwise order (increasing on 1..t, decreasing on t+1..k) makes the
 recursion well-founded with the pivot as unique minimum.
 
 Signs of the exchange relations follow the shuffle convention (parity of
-sorting the modified index sequences).  Each relation is checked, as index
-triples (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``, on
-the integer minors of seeded random integer matrices the first time it is
-built, before it or its signs are handed out; a failed check aborts the
-build.
+sorting the modified index sequences).  Each relation is checked the first
+time it is built, before it or its signs are handed out: its own terms,
+read as index triples (sign, i, j) over the lex order of
+``enumerate_subsets(k, n)``, must vanish on the integer minors of seeded
+random integer matrices, or the build aborts.
 
 A certificate is verified as one compiled polynomial identity on plain
 ints.  Every cofactor monomial has degree 0, so multiplying by L (the lcm
@@ -273,13 +273,16 @@ def _gate_minors(k: int, n: int) -> tuple[list[int], ...]:
     )
 
 
-def _triples(alpha: KSubset, other: KSubset, terms) -> tuple[tuple[int, int, int], ...]:
-    """The exchange relation of ``alpha``, ``other`` and their ``_exchange_terms``
-    as index triples (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``."""
-    pos = _subset_positions(alpha.k, alpha.n)
-    return ((1, pos[alpha.elements], pos[other.elements]),) + tuple(
-        (-sign, pos[a.elements], pos[o.elements]) for sign, a, o in terms
-    )
+def _triples(relation: LaurentExpression, pos: dict) -> tuple[tuple[int, int, int], ...]:
+    """The terms of a quadratic ``relation`` as index triples (sign, i, j) over
+    the lex positions ``pos``; a squared symbol gives i == j."""
+    out = []
+    for coeff, mono in relation.terms:
+        factors = [pos[s.index.elements] for s in mono for _ in range(s.power)]
+        if coeff.denominator != 1 or len(factors) != 2 or any(s.power < 0 for s in mono):
+            raise RuntimeError(f"not a quadratic relation with int coefficients: {relation!r}")
+        out.append((int(coeff), *factors))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +298,7 @@ def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentEx
         + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
     )
     k, n = alpha.k, alpha.n
-    triples = _triples(alpha, other, terms)
+    triples = _triples(relation, _subset_positions(k, n))
     if any(relation_value(triples, x) for x in _gate_minors(k, n)):
         raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
     return relation, terms
@@ -320,11 +323,9 @@ def relation_triples(k: int, n: int) -> tuple[tuple[tuple[int, int, int], ...], 
     """The relations of ``relation_table(k, n)``, in its order, as index triples
     (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``: the sum of
     sign * Delta_i * Delta_j vanishes at every minor vector, and at every
-    nonzero multiple of one.  A relation that cancels to zero keeps its triples."""
-    return tuple(
-        _triples(alpha, other, _checked_exchange(alpha, other, b)[1])
-        for alpha, other, b in _exchanges(k, n)
-    )
+    nonzero multiple of one.  A relation that cancels to zero has no triples."""
+    pos = _subset_positions(k, n)
+    return tuple(_triples(relation, pos) for relation in relation_table(k, n))
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:

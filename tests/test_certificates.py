@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plucker.certificates as certs
+from plucker.certificates import relation_triples
 from plucker import (
     QQ,
     Certificate,
@@ -36,7 +37,6 @@ from plucker import (
     precedes_t,
     principal_certificate,
     relation_table,
-    relation_triples,
     sample_y,
     unit_certificate,
     verify_certificate,
@@ -553,4 +553,28 @@ class TestIntegerRelations:
         x = [rng.randint(-9, 9) for _ in range(len(enumerate_subsets(k, n)))]
         point = PluckerVector(k, n, QQ, x)
         for rel, tr in zip(table, triples):
+            assert len(tr) == len(rel.terms)
             assert sum(s * x[i] * x[j] for s, i, j in tr) == evaluate(rel, point)
+
+    def test_gate_checks_the_relation_it_hands_out(self, monkeypatch):
+        # a canonicalisation that loses a term must stop the build
+        class DropsATerm(LaurentExpression):
+            __slots__ = ()
+
+            def __init__(self, terms):
+                super().__init__(list(terms)[:-1])
+
+        caches = (certs._checked_exchange, certs._cofactor, certs.relation_table)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(certs, "LaurentExpression", DropsATerm)
+        try:
+            with pytest.raises(RuntimeError, match="failed validation"):
+                relation_table(2, 4)
+            with pytest.raises(RuntimeError, match="failed validation"):
+                plucker_relation(ks((1, 2), 4), ks((3, 4), 4), 3)
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+        assert len(relation_table(2, 4)) > 0
