@@ -15,28 +15,29 @@ recursion well-founded with the pivot as unique minimum.
 
 Signs of the exchange relations follow the shuffle convention (parity of
 sorting the modified index sequences).  Each relation is checked the first
-time it is built, before it or its signs are handed out: its own terms,
-read as index triples (sign, i, j) over the lex order of
-``enumerate_subsets(k, n)``, must vanish on the integer minors of seeded
-random integer matrices, or the build aborts.
+time it is built, before it or its signs are handed out: in compiled form,
+it must vanish on the integer minors of seeded random integer matrices, or
+the build aborts.
 
-A certificate is verified as one compiled polynomial identity on plain
-ints.  Every cofactor monomial has degree 0, so multiplying by L (the lcm
-of the coefficient denominators) and by Delta_beta^a * Delta_gamma^b (a, b
-the largest inverse powers; a parsed certificate may invert other
-coordinates too, and each is cleared the same way) gives
+Relations and certificates are checked in one compiled form: a polynomial
+identity on plain ints, as (coefficient, ((position, power), ...)) terms over
+the lex order of ``enumerate_subsets(k, n)`` that sum to 0 where it holds.
+An exchange relation has int coefficients and degree 2 already.  A
+certificate's cofactor monomials all have degree 0, so multiplying by L
+(the lcm of the coefficient denominators) and by Delta_beta^a *
+Delta_gamma^b (a, b the largest inverse powers; a parsed certificate may
+invert other coordinates too, and each is cleared the same way) gives
 
     L * Delta_target * Delta_beta^a * Delta_gamma^b = sum_i c_i * Delta_pivot * m_i
 
-with int c_i and monomials m_i of nonnegative powers, homogeneous of one
-degree on both sides.  It therefore holds at a minor vector exactly when
-it holds at any nonzero multiple of that vector, where the inverted
-coordinates do not vanish.  A GF(q) point is read as its residues and
-compared mod q; a rational point as its coordinates times the lcm of
-their denominators.  The rational points of the banded piece are the
-minors of a banded matrix itself: its gamma-column block G is lower
-unipotent, so ``phi`` (which left-multiplies by G^-1) changes no maximal
-minor, as det G = 1.
+with int c_i and monomials m_i of nonnegative powers.  Either identity is
+homogeneous of one degree, so it holds at a minor vector exactly when it
+holds at any nonzero multiple of that vector, where the inverted coordinates
+do not vanish.  A GF(q) point is read as its residues and compared mod q; a
+rational point as its coordinates times the lcm of their denominators.  The
+rational points of the banded piece are the minors of a banded matrix
+itself: its gamma-column block G is lower unipotent, so ``phi`` (which
+left-multiplies by G^-1) changes no maximal minor, as det G = 1.
 """
 
 from __future__ import annotations
@@ -257,12 +258,6 @@ def _exchange_terms(
     return out
 
 
-def relation_value(triples, x: list[int]) -> int:
-    """The value of a relation given as index triples (sign, i, j) at the int
-    coordinates ``x``: the sum of sign * x[i] * x[j]."""
-    return sum(s * x[i] * x[j] for s, i, j in triples)
-
-
 @lru_cache(maxsize=None)
 def _gate_minors(k: int, n: int) -> tuple[list[int], ...]:
     """Minors of ``_GATE_SAMPLES`` seeded random integer k x n matrices."""
@@ -273,23 +268,11 @@ def _gate_minors(k: int, n: int) -> tuple[list[int], ...]:
     )
 
 
-def _triples(relation: LaurentExpression, pos: dict) -> tuple[tuple[int, int, int], ...]:
-    """The terms of a quadratic ``relation`` as index triples (sign, i, j) over
-    the lex positions ``pos``; a squared symbol gives i == j."""
-    out = []
-    for coeff, mono in relation.terms:
-        factors = [pos[s.index.elements] for s in mono for _ in range(s.power)]
-        if coeff.denominator != 1 or len(factors) != 2 or any(s.power < 0 for s in mono):
-            raise RuntimeError(f"not a quadratic relation with int coefficients: {relation!r}")
-        out.append((int(coeff), *factors))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentExpression, tuple]:
     """The relation for the exchange of b of ``other`` into ``alpha``, and its
-    ``_exchange_terms``.  The only source of exchange signs: the relation, as
-    index triples, must vanish on every gate matrix's minors, or the sign
+    ``_exchange_terms``.  The only source of exchange signs: the relation,
+    compiled, must vanish on every gate matrix's minors, or the sign
     convention is wrong and the build stops.
     """
     terms = tuple(_exchange_terms(alpha, other, b))
@@ -298,8 +281,8 @@ def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentEx
         + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
     )
     k, n = alpha.k, alpha.n
-    triples = _triples(relation, _subset_positions(k, n))
-    if any(relation_value(triples, x) for x in _gate_minors(k, n)):
+    # int coefficients and no inverse, so L = D = 1 (see ``_clear``)
+    if not vanishes(_clear(relation.terms, _subset_positions(k, n))[3], _gate_minors(k, n)):
         raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
     return relation, terms
 
@@ -319,19 +302,18 @@ def relation_table(k: int, n: int) -> tuple[LaurentExpression, ...]:
     return tuple(_checked_exchange(*key)[0] for key in _exchanges(k, n))
 
 
-def relation_triples(k: int, n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The relations of ``relation_table(k, n)``, in its order, as index triples
-    (sign, i, j) over the lex order of ``enumerate_subsets(k, n)``: the sum of
-    sign * Delta_i * Delta_j vanishes at every minor vector, and at every
-    nonzero multiple of one.  A relation that cancels to zero has no triples."""
+def compiled_relations(k: int, n: int) -> tuple[tuple, ...]:
+    """The relations of ``relation_table(k, n)``, in its order, in compiled
+    form: each sums to 0 at every minor vector, and at every nonzero multiple
+    of one.  A relation that cancels to zero compiles to no terms."""
     pos = _subset_positions(k, n)
-    return tuple(_triples(relation, pos) for relation in relation_table(k, n))
+    return tuple(_clear(relation.terms, pos)[3] for relation in relation_table(k, n))
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
     """True iff every quadratic exchange relation vanishes at ``p``."""
     x, q = _int_form(p, range(len(p.values)))
-    return not any(_nonzero(relation_value(triples, x), q) for triples in relation_triples(p.k, p.n))
+    return all(vanishes(terms, [x], q) for terms in compiled_relations(p.k, p.n))
 
 
 def plucker_relation(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression:
@@ -456,78 +438,75 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
     )
 
 
-def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
-    """``Delta_lhs = Delta_pivot * expr`` (``1 = ...`` when ``lhs`` is None) as
-    one polynomial identity on int coordinates.
-
-    Every monomial of ``expr`` must have degree deg(lhs) - 1, else
-    ParameterError.  With L the lcm of the coefficient denominators and D the
-    product of the inverted coordinates, each to its largest inverse power, the
-    identity times L * D is  L * D * Delta_lhs = sum_i c_i * Delta_pivot * m_i,
-    homogeneous, with int c_i and nonnegative powers.  Returns (L, used,
-    inverted, terms): ``used`` lists the lex positions read, and ``inverted``
-    and the (coefficient, ((slot, power), ...)) ``terms`` refer to slots of
-    ``used``; the identity holds where the terms sum to 0.
-    """
-    pos = _subset_positions(cert.beta.k, cert.beta.n)
-    want = -1 if lhs is None else 0
+def _clear(sides, pos: dict):
+    """The identity  sum of c * monomial = 0  over the (c, symbols) ``sides``,
+    times L * D: L the lcm of the denominators of c, D the product of the
+    inverted coordinates, each to its largest inverse power.  Returns (L, used,
+    inverted, terms): the lex positions (by ``pos``) read and inverted, and one
+    (int coefficient, ((position, power >= 1), ...)) term per side."""
     inverse: dict[int, int] = {}
+    for _, symbols in sides:
+        for s in symbols:
+            if s.power < 0:
+                p = pos[s.index.elements]
+                inverse[p] = max(inverse.get(p, 0), -s.power)
+    scale = math.lcm(*(c.denominator for c, _ in sides))
+    terms = []
+    for c, symbols in sides:
+        powers = dict(inverse)
+        for s in symbols:
+            p = pos[s.index.elements]
+            powers[p] = powers.get(p, 0) + s.power
+        terms.append((int(c * scale), tuple((p, e) for p, e in powers.items() if e)))
+    used = sorted({p for _, mono in terms for p, _ in mono})
+    return scale, used, tuple(inverse), tuple(terms)
+
+
+def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
+    """``Delta_lhs = Delta_pivot * expr`` (``1 = ...`` when ``lhs`` is None) in
+    compiled form, the left side first:  L * D * Delta_lhs = sum_i c_i *
+    Delta_pivot * m_i  with L and D as in ``_clear``.  Every monomial of
+    ``expr`` must have degree deg(lhs) - 1, so the identity is homogeneous,
+    else ParameterError.
+    """
+    want = -1 if lhs is None else 0
     for _, mono in expr.terms:
         degree = sum(s.power for s in mono)
         if degree != want:
             body = "*".join(map(str, mono)) or "1"
             raise ParameterError(f"monomial {body} has degree {degree}, not {want}")
-        for s in mono:
-            if s.power < 0:
-                p = pos[s.index.elements]
-                inverse[p] = max(inverse.get(p, 0), -s.power)
-    scale = math.lcm(*(c.denominator for c, _ in expr.terms))
-
-    def cleared(factors) -> dict[int, int]:
-        """The powers of D times the monomial of ``factors`` (position, power)."""
-        powers = dict(inverse)
-        for p, e in factors:
-            powers[p] = powers.get(p, 0) + e
-        return {p: e for p, e in powers.items() if e}
-
-    pivot = pos[cert.pivot.elements]
-    sides = [(scale, cleared(() if lhs is None else [(pos[lhs.elements], 1)]))]
-    for c, mono in expr.terms:
-        factors = [(pivot, 1)] + [(pos[s.index.elements], s.power) for s in mono]
-        sides.append((-int(c * scale), cleared(factors)))
-    used = sorted({p for _, powers in sides for p in powers})
-    slot = {p: i for i, p in enumerate(used)}
-    terms = tuple((c, tuple((slot[p], e) for p, e in powers.items())) for c, powers in sides)
-    return scale, used, tuple(slot[p] for p in inverse), terms
+    pivot = PluckerSymbol(cert.pivot)
+    sides = [(1, () if lhs is None else (PluckerSymbol(lhs),))]
+    sides += [(-c, (pivot,) + mono) for c, mono in expr.terms]
+    return _clear(sides, _subset_positions(cert.beta.k, cert.beta.n))
 
 
-def _int_form(point: PluckerVector, used) -> tuple[list[int], int]:
-    """The coordinates of ``point`` at the positions ``used`` as ints, and the
-    modulus to compare by: the residues and q over GF(q); over QQ, 0 and the
-    coordinates times the lcm of their denominators, a nonzero multiple."""
+def _int_form(point: PluckerVector, used) -> tuple[dict[int, int], int]:
+    """The coordinates of ``point`` at the positions ``used`` as ints, keyed by
+    position, and the modulus to compare by: the residues and q over GF(q); over
+    QQ, 0 and the coordinates times the lcm of their denominators."""
     values = point.values
     q = point.field.characteristic
     if q:
-        return [values[p].value for p in used], q
-    coords = [values[p] for p in used]
-    scale = 1
-    for c in coords:
-        scale = math.lcm(scale, c.denominator)
-    return [c.numerator * (scale // c.denominator) for c in coords], 0
+        return {p: values[p].value for p in used}, q
+    scale = math.lcm(*(values[p].denominator for p in used))
+    return {p: values[p].numerator * (scale // values[p].denominator) for p in used}, 0
 
 
-def _nonzero(value: int, q: int) -> bool:
-    return bool(value % q if q else value)
-
-
-def _value(terms, x: list[int]) -> int:
-    """The sum of the compiled ``terms`` at the int coordinates ``x``."""
+def _value(terms, x) -> int:
+    """The sum of the compiled ``terms`` at the int coordinates ``x`` (by position)."""
     total = 0
     for c, mono in terms:
         for i, e in mono:
             c *= x[i] ** e
         total += c
     return total
+
+
+def vanishes(terms, vectors, q: int = 0) -> bool:
+    """Whether the compiled ``terms`` sum to 0 at every int vector of
+    ``vectors``, compared mod q when q is nonzero."""
+    return not any(_value(terms, x) % q if q else _value(terms, x) for x in vectors)
 
 
 def _holds(cert: Certificate, identity, points: Iterable[PluckerVector]) -> bool:
@@ -538,13 +517,14 @@ def _holds(cert: Certificate, identity, points: Iterable[PluckerVector]) -> bool
         if point.k != k or point.n != n:
             raise ParameterError(f"a point of Gr({point.k}, {point.n}), not of Gr({k}, {n})")
         x, q = _int_form(point, used)
-        for i in inverted:
-            if not x[i]:
-                index = enumerate_subsets(k, n)[used[i]]
+        for p in inverted:
+            if not x[p]:
+                index = enumerate_subsets(k, n)[p]
                 raise EvaluationError(f"coordinate {index} vanishes but is inverted at point {point!r}")
         if q and not scale % q:
             raise ZeroDivisionError(f"a coefficient denominator vanishes mod {q}")
-        if _nonzero(_value(terms, x), q):
+        value = _value(terms, x)
+        if value % q if q else value:
             return False
     return True
 

@@ -14,11 +14,11 @@ import time
 
 from . import __version__, reports
 from .certificates import (
+    compiled_relations,
     principal_certificate,
     relation_table,
-    relation_triples,
-    relation_value,
     unit_certificate,
+    vanishes,
     verify_certificate,
     verify_pivot_inverse,
 )
@@ -94,7 +94,7 @@ def _finish(claim: str, started: float, checks: int, failures: list[str], notes:
 def claim_relations(cfg: SweepConfig) -> ClaimReport:
     """Every generated exchange relation vanishes on minors of random
     rational matrices; the classical three-term relation shows up.  Each
-    relation is evaluated as index triples on the int minors of the
+    relation is evaluated in compiled form on the int minors of the
     row-scaled matrices, the same points of the Grassmannian."""
     claim = "Eq1-relations"
     started = time.monotonic()
@@ -112,8 +112,8 @@ def claim_relations(cfg: SweepConfig) -> ClaimReport:
             integer_minors([[QQ.random_element(rng) for _ in range(n)] for _ in range(k)], n)[0]
             for _ in range(cfg.matrix_samples)
         ]
-        for rel, triples in zip(table, relation_triples(k, n)):
-            if any(relation_value(triples, x) for x in samples):
+        for rel, terms in zip(table, compiled_relations(k, n)):
+            if not vanishes(terms, samples):
                 failures.append(f"(k={k},n={n}): relation {rel!r} nonzero")
                 break
             checks += 1
@@ -217,7 +217,7 @@ def claim_lem4_certificates(cfg: SweepConfig) -> ClaimReport:
         for beta, gamma in iter_comparable_pairs(k, n):
             field_points = []
             for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
-                field_points.extend(p.plucker for p in open_richardson_points(beta, gamma, q))
+                field_points.extend(p.plucker for p in open_richardson_points(beta, gamma, q, cfg.budget))
             rational_points = _rational_w_points(beta, gamma, rng, cfg.rational_samples)
             points = field_points + rational_points
             for t in range(1, k):
@@ -252,7 +252,7 @@ def claim_cor5_unit(cfg: SweepConfig) -> ClaimReport:
                 cert = unit_certificate(beta, gamma, t)
                 pivot = cert.pivot
                 for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
-                    points = [p.plucker for p in open_richardson_points(beta, gamma, q)]
+                    points = [p.plucker for p in open_richardson_points(beta, gamma, q, cfg.budget)]
                     if not all(pv[pivot] for pv in points):
                         failures.append(
                             f"pivot {pivot} vanishes on the open stratum at ({beta},{gamma},q={q})"

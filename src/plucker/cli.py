@@ -23,6 +23,7 @@ from .matrices import format_matrix, parse_matrix, phi, psi
 from .certificates import format_certificate, principal_certificate, unit_certificate
 from .subsets import p_set, parse_subset
 from .varieties import (
+    DEFAULT_BUDGET,
     count_points,
     divisor_spec,
     enumerate_grassmannian,
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--beta")
         cmd.add_argument("--gamma")
         cmd.add_argument("--t", type=int)
-        cmd.add_argument("--budget", type=int, default=10**6)
+        cmd.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     return parser
 
 

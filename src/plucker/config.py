@@ -10,7 +10,8 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .fields import is_prime
+from .fields import _MAX_PRIME, is_prime
+from .varieties import DEFAULT_BUDGET
 
 ENV_PREFIX = "PLUCKER_"
 
@@ -25,7 +26,7 @@ class SweepConfig:
     rational_samples: int = 100
     matrix_samples: int = 50
     seed: int = 1729
-    budget: int = 10**6
+    budget: int = DEFAULT_BUDGET
 
     def validate(self) -> "SweepConfig":
         for name in ("k_range", "n_range"):
@@ -37,6 +38,8 @@ class SweepConfig:
             if not ps:
                 raise ConfigError(f"{name} must be nonempty")
             for p in ps:
+                if p >= _MAX_PRIME:  # by size first: trial division would take minutes
+                    raise ConfigError(f"{name} contains {p}, not below 2**31")
                 if not is_prime(p):
                     raise ConfigError(f"{name} contains non-prime {p}")
         for name in ("rational_samples", "matrix_samples", "budget"):

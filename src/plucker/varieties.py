@@ -142,6 +142,12 @@ def enumerate_grassmannian(
     k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[GrPoint, ...]:
     """One echelon representative per k-space of GF(q)^n, guarded by ``budget``."""
+    _check_budget(k, n, q, budget)
+    return _grassmannian_cached(k, n, q)
+
+
+def _check_budget(k: int, n: int, q: int, budget: int) -> None:
+    """Raise unless Gr(k, n) over GF(q) is defined and has at most ``budget`` points."""
     if not 0 < k <= n:
         raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
     PrimeField(q)  # rejects q >= 2**31 by size, before any trial division
@@ -150,12 +156,10 @@ def enumerate_grassmannian(
         raise BudgetError(
             f"Grassmannian({k},{n}) over GF({q}) has {total} points, over the budget {budget}"
         )
-    return _grassmannian_cached(k, n, q)
 
 
-@lru_cache(maxsize=None)
 def richardson_buckets(
-    k: int, n: int, q: int
+    k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
     """Points grouped by (componentwise min, max) of their nonzero minors.
 
@@ -163,11 +167,17 @@ def richardson_buckets(
     is the unique comparable pair whose open interval stratum contains
     the point.
     """
+    _check_budget(k, n, q, budget)
+    return _buckets(k, n, q)
+
+
+@lru_cache(maxsize=None)
+def _buckets(k: int, n: int, q: int) -> dict[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
     subsets = enumerate_subsets(k, n)
     by_elements = {s.elements: s for s in subsets}
     keys: dict[int, tuple[KSubset, KSubset]] = {}
     buckets: dict[tuple[KSubset, KSubset], list[GrPoint]] = {}
-    for point in enumerate_grassmannian(k, n, q):
+    for point in _grassmannian_cached(k, n, q):
         key = keys.get(point.support)
         if key is None:
             support = [s.elements for i, s in enumerate(subsets) if point.support >> i & 1]
@@ -216,8 +226,10 @@ def divisor_spec(beta: KSubset, gamma: KSubset, t: int) -> VarietySpec:
     return VarietySpec(beta.k, beta.n, vanish, frozenset({beta, gamma}))
 
 
-def open_richardson_points(beta: KSubset, gamma: KSubset, q: int) -> tuple[GrPoint, ...]:
-    return richardson_buckets(beta.k, beta.n, q).get((beta, gamma), ())
+def open_richardson_points(
+    beta: KSubset, gamma: KSubset, q: int, budget: int = DEFAULT_BUDGET
+) -> tuple[GrPoint, ...]:
+    return richardson_buckets(beta.k, beta.n, q, budget).get((beta, gamma), ())
 
 
 def closed_richardson_points(beta: KSubset, gamma: KSubset, q: int) -> tuple[GrPoint, ...]:

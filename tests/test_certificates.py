@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plucker.certificates as certs
-from plucker.certificates import relation_triples
+from plucker.certificates import compiled_relations
 from plucker import (
     QQ,
     Certificate,
@@ -545,16 +545,16 @@ class TestIntegerRelations:
 
     @pytest.mark.parametrize("k,n,empty", [(1, 3, 6), (2, 4, 24), (3, 6, 180)])
     def test_triples_are_the_relations_empty_ones_included(self, k, n, empty):
-        table, triples = relation_table(k, n), relation_triples(k, n)
-        assert len(table) == len(triples)
+        table, compiled = relation_table(k, n), compiled_relations(k, n)
+        assert len(table) == len(compiled)
         assert sum(rel.is_zero() for rel in table) == empty
-        # any int vector, Plucker or not: the triples are the relation polynomial
+        # any int vector, Plucker or not: the compiled terms are the relation polynomial
         rng = random.Random(k * 100 + n)
         x = [rng.randint(-9, 9) for _ in range(len(enumerate_subsets(k, n)))]
         point = PluckerVector(k, n, QQ, x)
-        for rel, tr in zip(table, triples):
-            assert len(tr) == len(rel.terms)
-            assert sum(s * x[i] * x[j] for s, i, j in tr) == evaluate(rel, point)
+        for rel, terms in zip(table, compiled):
+            assert len(terms) == len(rel.terms)
+            assert certs._value(terms, x) == evaluate(rel, point)
 
     def test_gate_checks_the_relation_it_hands_out(self, monkeypatch):
         # a canonicalisation that loses a term must stop the build

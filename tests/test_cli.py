@@ -78,10 +78,10 @@ class TestCount:
         # subprocess with a timeout keeps a regression from hanging the suite
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
-        base = [sys.executable, "-m", "plucker.cli", "count", "--k", "2", "--n", "4"]
-        for extra in ([], ["--budget", str(10**40)]):
-            argv = base + ["--q", str(2**61 - 1)] + extra
-            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+        base = [sys.executable, "-m", "plucker.cli"]
+        count = ["count", "--k", "2", "--n", "4", "--q", str(2**61 - 1)]
+        for args in (count, count + ["--budget", str(10**40)], ["verify-all", "--q", str(2**61 - 1)]):
+            done = subprocess.run(base + args, env=env, capture_output=True, text=True, timeout=10)
             assert done.returncode == 2, done.stderr
             assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
@@ -289,6 +289,25 @@ class TestVerifyAll:
         skipped = "(k=2,n=4,q=5) skipped: Grassmannian(2,4) over GF(5) has 806 points, over the budget 300"
         assert skipped in notes
         assert notes[-1] == "interpolation skipped: a degree certificate needs every interpolation prime"
+
+    def test_strata_are_read_at_the_configured_budget(self, monkeypatch):
+        # Gr(2,4) over GF(3) has 130 points: within the configured 1000, over a
+        # library default lowered to 100, which the claims must not fall back to
+        from plucker import SweepConfig, varieties
+        from plucker.claims import run_all
+
+        default = varieties.DEFAULT_BUDGET
+        for fn in vars(varieties).values():
+            defaults = getattr(fn, "__defaults__", None) or ()
+            if default in defaults:
+                monkeypatch.setattr(fn, "__defaults__", tuple(100 if d == default else d for d in defaults))
+        varieties._buckets.cache_clear()
+        cfg = SweepConfig(k_range=(2, 2), n_range=(4, 4), rational_samples=5, budget=1000).validate()
+        report = run_all(cfg, ("Lem4-certificates", "Cor5-unit", "Thm7-divisor"))
+        assert [c.claim for c in report.claims] == ["Lem4-certificates", "Cor5-unit", "Thm7-divisor"]
+        for claim in report.claims:
+            assert claim.verdict == reports.PASS, claim.witness
+            assert "notes" not in claim.params
 
 
 class TestReportDeterminism:

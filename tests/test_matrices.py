@@ -100,11 +100,19 @@ class TestMaximalMinors:
                 PluckerVector(k, n, QQ, [Fraction(0)] * count)
 
     def test_perturbed_vector_fails_relations(self):
-        m = ExactMatrix([[1, 0, 2, 3], [0, 1, 5, 7]], QQ)
-        pv = maximal_minors(m)
-        assert verify_plucker_relations(pv)
-        bad = pv.with_value(KSubset((1, 2), 4), pv[KSubset((1, 2), 4)] + 1)
-        assert not verify_plucker_relations(bad)
+        # over GF(q), the three-term relation at the residues is a nonzero
+        # multiple of q; adding 1 to Delta_{1,2} adds Delta_{3,4}, a unit
+        cases = (
+            (QQ, [[1, 0, 2, 3], [0, 1, 5, 7]]),
+            (F5, [[1, 0, 2, 3], [0, 1, 0, 2]]),
+            (F3, [[1, 0, 2, 2], [0, 1, 1, 2]]),
+        )
+        first, last = KSubset((1, 2), 4), KSubset((3, 4), 4)
+        for field, rows in cases:
+            pv = maximal_minors(ExactMatrix(rows, field))
+            assert verify_plucker_relations(pv) and pv[last]
+            bad = pv.with_value(first, pv[first] + 1)
+            assert not verify_plucker_relations(bad), field
 
     def test_alternating_in_rows(self):
         rng = random.Random(23)
