@@ -22,15 +22,15 @@ the build aborts.
 Relations and certificates are checked in one compiled form: a polynomial
 identity on plain ints, as (coefficient, ((position, power), ...)) terms over
 the lex order of ``enumerate_subsets(k, n)`` that sum to 0 where it holds.
-An exchange relation has int coefficients and degree 2 already.  A
-certificate's cofactor monomials all have degree 0, so multiplying by L
-(the lcm of the coefficient denominators) and by Delta_beta^a *
+Coefficients are ints throughout, so the identities hold over Z.  An
+exchange relation has degree 2 and no inverse already.  A certificate's
+cofactor monomials all have degree 0, so multiplying by Delta_beta^a *
 Delta_gamma^b (a, b the largest inverse powers; a parsed certificate may
 invert other coordinates too, and each is cleared the same way) gives
 
-    L * Delta_target * Delta_beta^a * Delta_gamma^b = sum_i c_i * Delta_pivot * m_i
+    Delta_target * Delta_beta^a * Delta_gamma^b = sum_i c_i * Delta_pivot * m_i
 
-with int c_i and monomials m_i of nonnegative powers.  Either identity is
+with monomials m_i of nonnegative powers.  Either identity is
 homogeneous of one degree, so it holds at a minor vector exactly when it
 holds at any nonzero multiple of that vector, where the inverted coordinates
 do not vanish.  A GF(q) point is read as its residues and compared mod q; a
@@ -42,11 +42,12 @@ left-multiplies by G^-1) changes no maximal minor, as det G = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -112,16 +113,17 @@ def _merge_symbols(symbols: Iterable[PluckerSymbol]) -> tuple[PluckerSymbol, ...
 
 
 class LaurentExpression:
-    """A canonical sum of rational multiples of symbol monomials."""
+    """A canonical sum of integer multiples of symbol monomials."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[tuple[Fraction, Iterable[PluckerSymbol]]]):
-        acc: dict[tuple, tuple[Fraction, tuple[PluckerSymbol, ...]]] = {}
-        for coeff, symbols in terms:
+    def __init__(self, terms: Iterable[tuple[int, Iterable[PluckerSymbol]]]):
+        acc: dict[tuple, tuple[int, tuple[PluckerSymbol, ...]]] = {}
+        for c, symbols in terms:
+            if not isinstance(c, int):
+                raise ParameterError(f"coefficient {c!r} is not an integer")
             mono = _merge_symbols(symbols)
             key = _monomial_key(mono)
-            c = Fraction(coeff)
             if key in acc:
                 c = acc[key][0] + c
             if c:
@@ -141,15 +143,15 @@ class LaurentExpression:
 
     @classmethod
     def one(cls) -> "LaurentExpression":
-        return cls([(Fraction(1), ())])
+        return cls([(1, ())])
 
     @classmethod
     def symbol(cls, index: KSubset, power: int = 1) -> "LaurentExpression":
-        return cls([(Fraction(1), (PluckerSymbol(index, power),))])
+        return cls([(1, (PluckerSymbol(index, power),))])
 
     @classmethod
     def term(cls, coeff, symbols: Iterable[PluckerSymbol]) -> "LaurentExpression":
-        return cls([(Fraction(coeff), tuple(symbols))])
+        return cls([(coeff, tuple(symbols))])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -172,7 +174,7 @@ class LaurentExpression:
 
     def times_term(self, coeff, symbols: Iterable[PluckerSymbol]) -> "LaurentExpression":
         extra = tuple(symbols)
-        return LaurentExpression([(c * Fraction(coeff), m + extra) for c, m in self.terms])
+        return LaurentExpression([(c * coeff, m + extra) for c, m in self.terms])
 
     def negative_power_indices(self) -> frozenset[KSubset]:
         out = set()
@@ -214,7 +216,7 @@ def evaluate(expr: LaurentExpression, point: PluckerVector):
     field = point.field
     total = field.zero
     for coeff, mono in expr.terms:
-        acc = field.from_fraction(coeff)
+        acc = field(coeff)
         for sym in mono:
             value = point[sym.index]
             if sym.power < 0 and not value:
@@ -281,8 +283,8 @@ def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentEx
         + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
     )
     k, n = alpha.k, alpha.n
-    # int coefficients and no inverse, so L = D = 1 (see ``_clear``)
-    if not vanishes(_clear(relation.terms, _subset_positions(k, n))[3], _gate_minors(k, n)):
+    # no inverse, so D = 1 (see ``_clear``)
+    if not vanishes(_clear(relation.terms, _subset_positions(k, n))[2], _gate_minors(k, n)):
         raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
     return relation, terms
 
@@ -307,12 +309,12 @@ def compiled_relations(k: int, n: int) -> tuple[tuple, ...]:
     form: each sums to 0 at every minor vector, and at every nonzero multiple
     of one.  A relation that cancels to zero compiles to no terms."""
     pos = _subset_positions(k, n)
-    return tuple(_clear(relation.terms, pos)[3] for relation in relation_table(k, n))
+    return tuple(_clear(relation.terms, pos)[2] for relation in relation_table(k, n))
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
     """True iff every quadratic exchange relation vanishes at ``p``."""
-    x, q = _int_form(p, range(len(p.values)))
+    x, q = _int_form(p, range(len(p.values))), p.field.characteristic
     return all(vanishes(terms, [x], q) for terms in compiled_relations(p.k, p.n))
 
 
@@ -439,33 +441,32 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
 
 
 def _clear(sides, pos: dict):
-    """The identity  sum of c * monomial = 0  over the (c, symbols) ``sides``,
-    times L * D: L the lcm of the denominators of c, D the product of the
-    inverted coordinates, each to its largest inverse power.  Returns (L, used,
-    inverted, terms): the lex positions (by ``pos``) read and inverted, and one
-    (int coefficient, ((position, power >= 1), ...)) term per side."""
+    """The identity  sum of c * monomial = 0  over the (int c, symbols) ``sides``,
+    times D, the product of the inverted coordinates, each to its largest
+    inverse power.  Returns (used, inverted, terms): the lex positions (by
+    ``pos``) read and inverted, and one (c, ((position, power >= 1), ...)) term
+    per side."""
     inverse: dict[int, int] = {}
     for _, symbols in sides:
         for s in symbols:
             if s.power < 0:
                 p = pos[s.index.elements]
                 inverse[p] = max(inverse.get(p, 0), -s.power)
-    scale = math.lcm(*(c.denominator for c, _ in sides))
     terms = []
     for c, symbols in sides:
         powers = dict(inverse)
         for s in symbols:
             p = pos[s.index.elements]
             powers[p] = powers.get(p, 0) + s.power
-        terms.append((int(c * scale), tuple((p, e) for p, e in powers.items() if e)))
+        terms.append((c, tuple((p, e) for p, e in powers.items() if e)))
     used = sorted({p for _, mono in terms for p, _ in mono})
-    return scale, used, tuple(inverse), tuple(terms)
+    return used, tuple(inverse), tuple(terms)
 
 
 def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
     """``Delta_lhs = Delta_pivot * expr`` (``1 = ...`` when ``lhs`` is None) in
-    compiled form, the left side first:  L * D * Delta_lhs = sum_i c_i *
-    Delta_pivot * m_i  with L and D as in ``_clear``.  Every monomial of
+    compiled form, the left side first:  D * Delta_lhs = sum_i c_i *
+    Delta_pivot * m_i  with D as in ``_clear``.  Every monomial of
     ``expr`` must have degree deg(lhs) - 1, so the identity is homogeneous,
     else ParameterError.
     """
@@ -481,16 +482,15 @@ def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
     return _clear(sides, _subset_positions(cert.beta.k, cert.beta.n))
 
 
-def _int_form(point: PluckerVector, used) -> tuple[dict[int, int], int]:
+def _int_form(point: PluckerVector, used) -> dict[int, int]:
     """The coordinates of ``point`` at the positions ``used`` as ints, keyed by
-    position, and the modulus to compare by: the residues and q over GF(q); over
-    QQ, 0 and the coordinates times the lcm of their denominators."""
+    position: over GF(q) the residues, to compare mod q; over QQ the
+    coordinates times the lcm of their denominators, to compare exactly."""
     values = point.values
-    q = point.field.characteristic
-    if q:
-        return {p: values[p].value for p in used}, q
+    if point.field.characteristic:
+        return {p: values[p].value for p in used}
     scale = math.lcm(*(values[p].denominator for p in used))
-    return {p: values[p].numerator * (scale // values[p].denominator) for p in used}, 0
+    return {p: values[p].numerator * (scale // values[p].denominator) for p in used}
 
 
 def _value(terms, x) -> int:
@@ -510,23 +510,25 @@ def vanishes(terms, vectors, q: int = 0) -> bool:
 
 
 def _holds(cert: Certificate, identity, points: Iterable[PluckerVector]) -> bool:
-    """Whether a compiled identity holds at every point, compared exactly."""
-    scale, used, inverted, terms = identity
+    """Whether a compiled identity holds at every point, compared exactly.  Points
+    are read in order, up to the first failure, with one ``vanishes`` call per
+    run of points of one characteristic (one call per point costs more)."""
+    used, inverted, terms = identity
     k, n = cert.beta.k, cert.beta.n
-    for point in points:
-        if point.k != k or point.n != n:
-            raise ParameterError(f"a point of Gr({point.k}, {point.n}), not of Gr({k}, {n})")
-        x, q = _int_form(point, used)
-        for p in inverted:
-            if not x[p]:
-                index = enumerate_subsets(k, n)[p]
-                raise EvaluationError(f"coordinate {index} vanishes but is inverted at point {point!r}")
-        if q and not scale % q:
-            raise ZeroDivisionError(f"a coefficient denominator vanishes mod {q}")
-        value = _value(terms, x)
-        if value % q if q else value:
-            return False
-    return True
+
+    def int_forms(run):
+        for point in run:
+            if point.k != k or point.n != n:
+                raise ParameterError(f"a point of Gr({point.k}, {point.n}), not of Gr({k}, {n})")
+            x = _int_form(point, used)
+            for p in inverted:
+                if not x[p]:
+                    index = enumerate_subsets(k, n)[p]
+                    raise EvaluationError(f"coordinate {index} vanishes but is inverted at point {point!r}")
+            yield x
+
+    runs = itertools.groupby(points, operator.attrgetter("field.characteristic"))
+    return all(vanishes(terms, int_forms(run), q) for q, run in runs)
 
 
 def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bool:
@@ -585,7 +587,7 @@ def _at(line: int, column: int | None, parse, *args):
     """``parse(*args)``, with any failure reported as a ParseError at (line, column)."""
     try:
         return parse(*args)
-    except (ValueError, ZeroDivisionError) as exc:  # ParseError and ParameterError included
+    except ValueError as exc:  # ParseError and ParameterError included
         raise ParseError(str(exc), line=line, column=column) from None
 
 
@@ -611,7 +613,7 @@ def _parse_terms(
             raise ParseError("unexpected end of certificate", line=lines[-1][0] + 1)
         ln_no, text = lines[idx]
         toks = text.split()
-        coeff = _at(ln_no, 1, Fraction, toks[0])
+        coeff = _at(ln_no, 1, int, toks[0])
         symbols = []
         for col, tok in enumerate(toks[1:], start=2):
             m = _SYMBOL_RE.match(tok)

@@ -58,6 +58,8 @@ CLAIM_IDS = (
     "W-count",
 )
 
+_INTERPOLATION_PRIMES = (2, 3, 5, 7, 11)  # W-count: degree d <= 3 in Gr(2,4) takes d + 2
+
 
 def _rng(cfg: SweepConfig, claim: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{claim}")
@@ -283,7 +285,7 @@ def claim_thm7_divisor(cfg: SweepConfig) -> ClaimReport:
                 if not len(p_set(beta, gamma, t)):
                     continue
                 for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
-                    rep = verify_positroid_divisor(beta, gamma, t, q, cfg.budget, cfg.extra_primes)
+                    rep = verify_positroid_divisor(beta, gamma, t, q, cfg.budget)
                     if rep.verdict == reports.FAIL:
                         failures.append(f"{rep.params}: {rep.witness}")
                     else:
@@ -382,7 +384,7 @@ def claim_w_count(cfg: SweepConfig) -> ClaimReport:
                     failures.append(f"{rep.params}: {rep.witness}")
                 else:
                     checks += 1
-    primes = cfg.interpolation_primes
+    primes = _INTERPOLATION_PRIMES
     if (2, 4) not in grs:
         notes.append("S(2,4) outside configured ranges; interpolation skipped")
     elif len(tuple(_fitting_primes(2, 4, primes, cfg.budget, notes))) < len(primes):

@@ -150,8 +150,12 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_param(args) -> int:
-    with open(args.matrix_file, "r", encoding="utf-8") as fh:
-        matrix = parse_matrix(fh.read())
+    try:
+        with open(args.matrix_file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read matrix file {args.matrix_file}: {exc}") from None
+    matrix = parse_matrix(text)
     beta = parse_subset(args.beta, matrix.ncols)
     gamma = parse_subset(args.gamma, matrix.ncols)
     out = phi(matrix, beta, gamma) if args.direction == "phi" else psi(matrix, beta, gamma)

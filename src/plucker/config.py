@@ -21,8 +21,6 @@ class SweepConfig:
     k_range: tuple[int, int] = (1, 3)
     n_range: tuple[int, int] = (1, 6)
     primes: tuple[int, ...] = (2, 3)
-    extra_primes: tuple[int, ...] = (2, 3, 5, 7)
-    interpolation_primes: tuple[int, ...] = (2, 3, 5, 7, 11)
     rational_samples: int = 100
     matrix_samples: int = 50
     seed: int = 1729
@@ -33,15 +31,13 @@ class SweepConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo < 1:
                 raise ConfigError(f"{name} {lo}:{hi} is empty or invalid")
-        for name in ("primes", "extra_primes", "interpolation_primes"):
-            ps = getattr(self, name)
-            if not ps:
-                raise ConfigError(f"{name} must be nonempty")
-            for p in ps:
-                if p >= _MAX_PRIME:  # by size first: trial division would take minutes
-                    raise ConfigError(f"{name} contains {p}, not below 2**31")
-                if not is_prime(p):
-                    raise ConfigError(f"{name} contains non-prime {p}")
+        if not self.primes:
+            raise ConfigError("primes must be nonempty")
+        for p in self.primes:
+            if p >= _MAX_PRIME:  # by size first: trial division would take minutes
+                raise ConfigError(f"primes contains {p}, not below 2**31")
+            if not is_prime(p):
+                raise ConfigError(f"primes contains non-prime {p}")
         for name in ("rational_samples", "matrix_samples", "budget"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -58,8 +54,6 @@ class SweepConfig:
             "k_range": f"{self.k_range[0]}:{self.k_range[1]}",
             "n_range": f"{self.n_range[0]}:{self.n_range[1]}",
             "primes": ",".join(map(str, self.primes)),
-            "extra_primes": ",".join(map(str, self.extra_primes)),
-            "interpolation_primes": ",".join(map(str, self.interpolation_primes)),
             "rational_samples": self.rational_samples,
             "matrix_samples": self.matrix_samples,
             "seed": self.seed,
@@ -91,8 +85,6 @@ _PARSERS = {
     "k_range": _parse_range,
     "n_range": _parse_range,
     "primes": _parse_int_list,
-    "extra_primes": _parse_int_list,
-    "interpolation_primes": _parse_int_list,
     "rational_samples": int,
     "matrix_samples": int,
     "seed": int,
@@ -135,7 +127,7 @@ def load_config(
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cfg = parse_config_file(fh.read(), cfg)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
     env = os.environ if env is None else env
     for f in fields(SweepConfig):

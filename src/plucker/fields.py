@@ -140,14 +140,6 @@ class PrimeField:
             return self._elems[v]
         return Fp(v, self.p)
 
-    def from_fraction(self, q: Fraction | int) -> Fp:
-        if isinstance(q, int):
-            return self(q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-        return self(q.numerator * pow(den, -1, self.p))
-
     def elements(self):
         return [self(v) for v in range(self.p)]
 
@@ -192,9 +184,6 @@ class Rationals:
 
     def __call__(self, value) -> Fraction:
         return Fraction(value)
-
-    def from_fraction(self, q) -> Fraction:
-        return Fraction(q)
 
     def random_element(self, rng: random.Random) -> Fraction:
         return Fraction(

@@ -28,6 +28,7 @@ from .reports import ClaimReport
 from .subsets import (
     KSubset,
     SubsetFamily,
+    _window,
     cyclic_shift,
     delta,
     enumerate_subsets,
@@ -191,6 +192,12 @@ def _buckets(k: int, n: int, q: int) -> dict[tuple[KSubset, KSubset], tuple[GrPo
     return {key: tuple(pts) for key, pts in buckets.items()}
 
 
+@lru_cache(maxsize=None)
+def _support_reps(k: int, n: int, q: int) -> dict[int, GrPoint]:
+    """One point per support, the last enumerated; check the budget first."""
+    return {p.support: p for p in _grassmannian_cached(k, n, q)}
+
+
 def membership(point: GrPoint, spec: VarietySpec) -> bool:
     """All must-vanish coordinates zero and all must-not-vanish nonzero."""
     pv = point.plucker
@@ -222,6 +229,7 @@ def w_spec(beta: KSubset, gamma: KSubset) -> VarietySpec:
 
 def divisor_spec(beta: KSubset, gamma: KSubset, t: int) -> VarietySpec:
     """The pivot-coordinate zero locus inside the open interval stratum."""
+    _window(beta, gamma, t)  # t in 1..k-1: delta is gamma at t = 0 and beta at t = k
     vanish = _outside(interval(beta, gamma)) | {delta(beta, gamma, t)}
     return VarietySpec(beta.k, beta.n, vanish, frozenset({beta, gamma}))
 
@@ -276,7 +284,8 @@ def verify_positroid_divisor(
     # Both sides are predicates on a point's support, so the two point sets
     # are equal exactly when their sets of supports are; one point stands
     # for each distinct support.
-    reps = {p.support: p for p in enumerate_grassmannian(beta.k, beta.n, q, budget)}
+    enumerate_grassmannian(beta.k, beta.n, q, budget)
+    reps = _support_reps(beta.k, beta.n, q)
     lhs = {s for s in reps if div_spec.admits(s)}
     rhs = {s for s in reps if open_spec.admits(s) and pos_spec.admits(s)}
     if lhs != rhs:
@@ -312,7 +321,8 @@ def verify_complement(
     closed_spec = richardson_spec(beta, gamma)
     inverted_spec = w_spec(beta, gamma)
     removed_specs = [positroid_spec(f) for f in itertools.chain(*sigma_sets(beta, gamma))]
-    reps = {p.support: p for p in enumerate_grassmannian(beta.k, beta.n, q, budget)}
+    enumerate_grassmannian(beta.k, beta.n, q, budget)
+    reps = _support_reps(beta.k, beta.n, q)
     closed = [s for s in reps if closed_spec.admits(s)]
     lhs = {s for s in closed if inverted_spec.admits(s)}
     rhs = {s for s in closed if not any(spec.admits(s) for spec in removed_specs)}

@@ -72,7 +72,7 @@ def field_points(beta, gamma, q):
 class TestLaurentExpression:
     def test_canonicalization(self):
         a = sym((1, 2), 4)
-        e = LaurentExpression([(Fraction(1), (a,)), (Fraction(2), (a,))])
+        e = LaurentExpression([(1, (a,)), (2, (a,))])
         assert e == LaurentExpression.term(3, (sym((1, 2), 4),))
         zero = LaurentExpression.term(1, (a,)) - LaurentExpression.term(1, (a,))
         assert zero.is_zero()
@@ -80,6 +80,14 @@ class TestLaurentExpression:
     def test_power_merging(self):
         e = LaurentExpression.term(1, (sym((1, 2), 4, 1), sym((1, 2), 4, -1)))
         assert e == LaurentExpression.one()
+
+    def test_non_integer_coefficient_rejected(self):
+        # a coefficient like 1/2 certifies nothing over GF(2) or over Z
+        a = sym((1, 2), 4)
+        with pytest.raises(ParameterError, match="not an integer"):
+            LaurentExpression([(Fraction(1, 2), (a,))])
+        with pytest.raises(ParameterError, match="not an integer"):
+            LaurentExpression.term(1, (a,)).times_term(Fraction(1, 2), ())
 
     def test_zero_power_rejected(self):
         with pytest.raises(ParameterError):
@@ -112,13 +120,6 @@ class TestEvaluate:
         e = LaurentExpression.symbol(ks((3, 4), 4), -1)
         with pytest.raises(EvaluationError):
             evaluate(e, pv)
-
-    def test_fraction_coefficients_in_prime_field(self):
-        f5 = PrimeField(5)
-        m = ExactMatrix([[1, 0, 1, 2], [0, 1, 3, 4]], f5)
-        pv = maximal_minors(m)
-        e = LaurentExpression.term(Fraction(1, 2), (sym((1, 2), 4),))
-        assert evaluate(e, pv) == f5(3)  # 1/2 = 3 mod 5
 
 
 class TestPluckerRelation:
@@ -360,6 +361,17 @@ class TestSerialization:
                 parse_certificate(text)
             assert err.value.line == line, (text, err.value)
 
+    def test_non_integer_coefficient_rejected(self):
+        good = format_certificate(
+            principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
+        )
+        assert "\n1 {2,3} {2,4}^-1\n" in good  # line 10, the only cofactor term
+        for coeff in ("1/2", "0.5", "1e3"):
+            text = good.replace("\n1 {2,3} {2,4}^-1\n", f"\n{coeff} {{2,3}} {{2,4}}^-1\n")
+            with pytest.raises(ParseError, match=re.escape(repr(coeff))) as err:
+                parse_certificate(text)
+            assert (err.value.line, err.value.column) == (10, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_drawn_certificates_round_trip(self, data):
@@ -451,17 +463,17 @@ class TestCompiledIdentity:
 
     @staticmethod
     def flip_sign(identity):
-        scale, used, inverted, terms = identity
+        used, inverted, terms = identity
         c, mono = terms[1]
-        return scale, used, inverted, (terms[0], (-c, mono)) + terms[2:]
+        return used, inverted, (terms[0], (-c, mono)) + terms[2:]
 
     @staticmethod
     def drop_inverse(slot):
         def mutate(identity):
-            scale, used, inverted, terms = identity
+            used, inverted, terms = identity
             c, mono = terms[0]
             lowered = tuple((i, e - (i == slot)) for i, e in mono)
-            return scale, used, inverted, ((c, tuple(m for m in lowered if m[1])),) + terms[1:]
+            return used, inverted, ((c, tuple(m for m in lowered if m[1])),) + terms[1:]
 
         return mutate
 
@@ -478,7 +490,7 @@ class TestCompiledIdentity:
                 pair = (cert.beta, cert.gamma)
                 points = field_points(*pair, 3) + rational_w_points(*pair, 3, seed=11)
             identity = compile_(cert, cert.target, cert.cofactor)
-            mutations = [self.flip_sign] + [self.drop_inverse(slot) for slot in identity[2]]
+            mutations = [self.flip_sign] + [self.drop_inverse(slot) for slot in identity[1]]
             for mutate in mutations:
                 mutation[:] = [mutate]
                 assert not verify_certificate(cert, points), (cert, mutate)
@@ -512,19 +524,17 @@ class TestCompiledIdentity:
                 with pytest.raises(EvaluationError, match=re.escape(str(zero))):
                     check(cert, [point])
 
-    def test_half_coefficient(self, oracle):
-        cert = principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
-        half = Certificate(cert.target, cert.pivot, cert.cofactor.times_term(Fraction(1, 2), ()),
-                           cert.beta, cert.gamma, 1)
-        gamma = cert.gamma
-        points = [p.plucker for p in enumerate_grassmannian(2, 4, 5) if p.plucker[gamma]]
-        verdicts = [verify_certificate(half, [p]) for p in points]
-        assert verdicts == [oracle(half, [p]) for p in points]
-        assert True in verdicts and False in verdicts
-        point = next(p.plucker for p in enumerate_grassmannian(2, 4, 2) if p.plucker[gamma])
+    def test_points_are_read_in_order_up_to_the_first_failure(self, oracle):
+        beta, gamma = ks((1, 3), 4), ks((2, 4), 4)
+        cert = principal_certificate(beta, gamma, 1, ks((2, 3), 4))
+        good = field_points(beta, gamma, 3)[0]  # another characteristic first
+        grassmannian = [p.plucker for p in enumerate_grassmannian(2, 4, 5)]
+        failing = next(p for p in grassmannian if p[beta] and p[gamma] and not oracle(cert, [p]))
+        vanishing = next(p for p in grassmannian if p[gamma] and not p[beta])
         for check in (verify_certificate, oracle):
-            with pytest.raises(ZeroDivisionError):
-                check(half, [point])
+            assert check(cert, [good, failing, vanishing]) is False
+            with pytest.raises(EvaluationError):
+                check(cert, [good, vanishing, failing])
 
     def test_point_of_another_grassmannian_rejected(self):
         cert = principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))

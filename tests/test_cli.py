@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from plucker import RunReport, format_matrix, reports
 from plucker.cli import main
 from plucker.reports import ClaimReport
@@ -72,6 +74,17 @@ class TestCount:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "--k 2" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t", ["0", "2", "3"])
+    def test_divisor_cut_out_of_range_exits_2(self, capsys, t):
+        code, out, err = run_cli(
+            capsys,
+            "count",
+            "--k", "2", "--n", "4", "--q", "2",
+            "--spec", "divisor", "--beta", "{1,2}", "--gamma", "{3,4}", "--t", t,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: t={t} out of range 1..1\n"
 
     def test_huge_modulus_exits_2_at_once(self):
         # 2**61 - 1 is prime; trial division of it would run for minutes, so a
@@ -163,6 +176,18 @@ class TestParam:
         assert err.startswith("error: ") and "leading principal minor 1" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_matrix_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfef\x00i\x00")
+        code, out, err = run_cli(
+            capsys,
+            "param", "--beta", "{1}", "--gamma", "{2}",
+            "--direction", "phi", "--matrix-file", str(bad),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read matrix file {bad}: ")
+        assert "Traceback" not in err
+
     def test_parse_error_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("field rational\n1 x\n")
@@ -250,6 +275,15 @@ class TestVerifyAll:
         cfg.write_text("primes = 4\n")
         code, _, err = run_cli(capsys, "verify-all", "--config", str(cfg))
         assert code == 2 and "error" in err
+
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfes\x00e\x00e\x00d\x00")
+        code, out, err = run_cli(capsys, "verify-all", "--config", str(cfg), "--report", str(tmp_path / "r.json"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_flag_and_env_overrides(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "sweep.cfg"

@@ -58,12 +58,6 @@ class TestFp:
         with pytest.raises(ParameterError):
             PrimeField(5)(1) + PrimeField(7)(1)
 
-    def test_from_fraction(self):
-        f = self.F5
-        assert f.from_fraction(Fraction(1, 2)) == f(3)  # 2 * 3 = 1
-        with pytest.raises(ZeroDivisionError):
-            f.from_fraction(Fraction(1, 5))
-
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
     def test_field_axioms_gf7(self, a, b, c):

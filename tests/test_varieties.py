@@ -186,6 +186,14 @@ def frozenset_membership(point, spec):
     return all(not pv[s] for s in spec.must_vanish) and all(pv[s] for s in spec.must_not_vanish)
 
 
+class TestDivisorSpec:
+    @pytest.mark.parametrize("t", [0, 2, 3])
+    def test_cut_outside_1_to_k_minus_1_rejected(self, t):
+        b, g = ks((1, 2), 4), ks((3, 4), 4)
+        with pytest.raises(ParameterError, match=rf"^t={t} out of range 1\.\.1$"):
+            divisor_spec(b, g, t)
+
+
 class TestSupportBitmask:
     @pytest.mark.parametrize("k,n,q", [(2, 4, 3), (3, 5, 2)])
     def test_admits_matches_frozenset_oracle(self, k, n, q):
@@ -200,6 +208,21 @@ class TestSupportBitmask:
         for spec in specs:
             for p in points:
                 assert spec.admits(p.support) == frozenset_membership(p, spec), (spec, p)
+
+    def test_one_cached_representative_per_support_the_last_enumerated(self):
+        import plucker.varieties as varieties
+
+        points = enumerate_grassmannian(2, 4, 3)
+        reps = varieties._support_reps(2, 4, 3)
+        assert reps is varieties._support_reps(2, 4, 3)
+        last = {p.support: i for i, p in enumerate(points)}
+        assert {s: points[i] for s, i in last.items()} == reps
+        assert all(reps[s] is points[i] for s, i in last.items())
+        # the checks that read the map still check the budget: 130 points
+        b, g = ks((1, 2), 4), ks((3, 4), 4)
+        for check in (lambda: verify_positroid_divisor(b, g, 1, 3, 100), lambda: verify_complement(b, g, 3, 100)):
+            with pytest.raises(BudgetError, match="130 points"):
+                check()
 
 
 class TestSetCheckFailures:
