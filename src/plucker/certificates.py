@@ -591,9 +591,10 @@ def _at(line: int, column: int | None, parse, *args):
         raise ParseError(str(exc), line=line, column=column) from None
 
 
-def _natural(text: str) -> int:
-    if not text.isdecimal():
-        raise ParseError(f"{text!r} is not a nonnegative integer")
+def _integer(text: str, signed: bool = False) -> int:
+    # ASCII digits only: int() would also take "+1", "1_0" and other scripts' digits
+    if not re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
+        raise ParseError(f"{text!r} is not {'an' if signed else 'a nonnegative'} integer")
     return int(text)
 
 
@@ -613,7 +614,7 @@ def _parse_terms(
             raise ParseError("unexpected end of certificate", line=lines[-1][0] + 1)
         ln_no, text = lines[idx]
         toks = text.split()
-        coeff = _at(ln_no, 1, int, toks[0])
+        coeff = _at(ln_no, 1, _integer, toks[0], True)
         symbols = []
         for col, tok in enumerate(toks[1:], start=2):
             m = _SYMBOL_RE.match(tok)
@@ -637,21 +638,21 @@ def parse_certificate(text: str) -> Certificate:
             raise ParseError(f"expected {name!r} line", line=ln_no)
         return _at(ln_no, None, parse, line[len(name) + 1 :], *args)
 
-    n = field(1, "n", _natural)
-    k = field(2, "k", _natural)
+    n = field(1, "n", _integer)
+    k = field(2, "k", _integer)
     beta = field(3, "beta", _k_subset, k, n)
     gamma = field(4, "gamma", _k_subset, k, n)
-    t = field(5, "t", _natural)
+    t = field(5, "t", _integer)
     target = field(6, "target", _k_subset, k, n)
     pivot = field(7, "pivot", _k_subset, k, n)
     expected = _at(lines[5][0], None, delta, beta, gamma, t)
     if pivot != expected:
         message = f"pivot {pivot} is not delta(beta, gamma, t) = {expected}"
         raise ParseError(message, line=lines[7][0])
-    cofactor, nxt = _parse_terms(lines, 9, field(8, "cofactor", _natural), k, n)
+    cofactor, nxt = _parse_terms(lines, 9, field(8, "cofactor", _integer), k, n)
     pivot_inverse = None
     if nxt < len(lines):
-        count = field(nxt, "pivot-inverse", _natural)
+        count = field(nxt, "pivot-inverse", _integer)
         pivot_inverse, nxt = _parse_terms(lines, nxt + 1, count, k, n)
     if nxt != len(lines):
         raise ParseError("trailing content", line=lines[nxt][0])

@@ -24,7 +24,7 @@ from .certificates import format_certificate, principal_certificate, unit_certif
 from .subsets import p_set, parse_subset
 from .varieties import (
     DEFAULT_BUDGET,
-    count_points,
+    candidate_points,
     divisor_spec,
     enumerate_grassmannian,
     membership,
@@ -163,21 +163,22 @@ def _cmd_param(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _locus_points(args):
+    """The points of the locus in enumeration order, read from the cells it allows."""
     spec = _locus_spec(args)
-    points = enumerate_grassmannian(args.k, args.n, args.q, args.budget)
-    for point in points:
-        if spec is None or membership(point, spec):
-            print("  ".join(" ".join(str(x) for x in row) for row in point.matrix.rows))
+    if spec is None:
+        return enumerate_grassmannian(args.k, args.n, args.q, args.budget)
+    return [p for p in candidate_points(spec, args.q, args.budget) if membership(p, spec)]
+
+
+def _cmd_enumerate(args) -> int:
+    for point in _locus_points(args):
+        print("  ".join(" ".join(str(x) for x in row) for row in point.rows))
     return 0
 
 
 def _cmd_count(args) -> int:
-    spec = _locus_spec(args)
-    if spec is None:
-        print(len(enumerate_grassmannian(args.k, args.n, args.q, args.budget)))
-    else:
-        print(count_points(spec, args.q, args.budget))
+    print(len(_locus_points(args)))
     return 0
 
 

@@ -286,26 +286,25 @@ def ldu(s: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
 
 
 class YShape:
-    """Per-row structure of the banded matrix space attached to (beta, gamma)."""
+    """Per-row structure of the banded matrix space attached to (beta, gamma).
 
-    __slots__ = ("beta", "gamma")
+    ``rows`` holds each row's (unit column, pivot column, free columns),
+    1-based; ``star_count`` is the number of free entries and ``unit_count``
+    the number of rows with a genuinely free invertible entry.
+    """
+
+    __slots__ = ("beta", "gamma", "k", "n", "rows", "star_count", "unit_count")
 
     def __init__(self, beta: KSubset, gamma: KSubset):
         if not subset_leq(beta, gamma):
             raise ParameterError(f"{beta} is not componentwise <= {gamma}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+        rows = tuple((b, g, range(b + 1, g)) for b, g in zip(beta.elements, gamma.elements))
+        stars, units = sum(len(free) for _, _, free in rows), sum(g > b for b, g, _ in rows)
+        for name, value in zip(self.__slots__, (beta, gamma, beta.k, beta.n, rows, stars, units)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("YShape is immutable")
-
-    @property
-    def k(self) -> int:
-        return self.beta.k
-
-    @property
-    def n(self) -> int:
-        return self.beta.n
 
     def unit_column(self, i: int) -> int:
         return self.beta(i)
@@ -316,16 +315,6 @@ class YShape:
     def free_columns(self, i: int) -> range:
         return range(self.beta(i) + 1, self.gamma(i))
 
-    @property
-    def star_count(self) -> int:
-        """Number of free entries."""
-        return sum(max(self.gamma(i) - self.beta(i) - 1, 0) for i in range(1, self.k + 1))
-
-    @property
-    def unit_count(self) -> int:
-        """Number of rows with a genuinely free invertible entry."""
-        return sum(1 for i in range(1, self.k + 1) if self.gamma(i) > self.beta(i))
-
 
 def y_shape_check(m: ExactMatrix, beta: KSubset, gamma: KSubset) -> bool:
     """True iff every row fits the banded pattern of (beta, gamma)."""
@@ -333,17 +322,10 @@ def y_shape_check(m: ExactMatrix, beta: KSubset, gamma: KSubset) -> bool:
     if m.shape != (shape.k, shape.n):
         return False
     one = m.field.one
-    for i in range(1, shape.k + 1):
-        row = m.rows[i - 1]
-        b, g = shape.unit_column(i), shape.pivot_column(i)
-        if row[g - 1] != one:
+    for row, (b, g, _) in zip(m.rows, shape.rows):
+        # the pivot is 1, the unit entry nonzero, and nothing outside [b, g]
+        if row[g - 1] != one or not row[b - 1] or any(row[: b - 1]) or any(row[g:]):
             return False
-        if not row[b - 1]:
-            return False
-        for j in range(1, shape.n + 1):
-            if j < b or j > g:
-                if row[j - 1]:
-                    return False
     return True
 
 
@@ -353,13 +335,12 @@ def _build_y(shape: YShape, field, units, frees) -> ExactMatrix:
     rows = []
     fit = iter(frees)
     uit = iter(units)
-    for i in range(1, shape.k + 1):
+    for b, g, free in shape.rows:
         row = [zero] * shape.n
-        b, g = shape.unit_column(i), shape.pivot_column(i)
         row[g - 1] = one
         if g > b:
             row[b - 1] = next(uit)
-        for j in shape.free_columns(i):
+        for j in free:
             row[j - 1] = next(fit)
         rows.append(tuple(row))
     return ExactMatrix._of_rows(tuple(rows), field)  # every entry is already in ``field``

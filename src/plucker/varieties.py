@@ -13,17 +13,18 @@ description of the window locus, and closed point-count formulas.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from . import reports
 from .errors import BudgetError, ParameterError
 from .fields import PrimeField
-from .matrices import ExactMatrix, PluckerVector, _expansion, _minors, _subset_positions
+from .matrices import ExactMatrix, PluckerVector, YShape, _expansion, _minors, _subset_positions
 from .reports import ClaimReport
 from .subsets import (
     KSubset,
@@ -82,61 +83,91 @@ class VarietySpec:
         return not support & self._vanish and support & self._nonvanish == self._nonvanish
 
 
-@dataclass(frozen=True, slots=True)
 class GrPoint:
-    """A canonical echelon representative, its minor vector and its support bitmask."""
+    """A reduced echelon representative over GF(q): its rows, the residues of its
+    maximal minors in lex order and its support bitmask.  Most checks read only
+    the support, so ``matrix`` and ``plucker`` are built each time they are read;
+    equality, hash and ``repr`` are those of the matrix."""
 
-    matrix: ExactMatrix
-    plucker: PluckerVector = dataclasses.field(compare=False)
-    support: int = dataclasses.field(compare=False)
+    __slots__ = ("rows", "residues", "support", "field")
+
+    def __init__(self, rows: tuple[tuple, ...], residues, support: int, field: PrimeField):
+        init = object.__setattr__
+        init(self, "rows", rows)
+        init(self, "residues", residues)
+        init(self, "support", support)
+        init(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GrPoint is immutable")
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        return ExactMatrix._of_rows(self.rows, self.field)
+
+    @property
+    def plucker(self) -> PluckerVector:
+        field = self.field
+        elem = field._elems.__getitem__ if field._elems is not None else field
+        return PluckerVector(len(self.rows), len(self.rows[0]), field, map(elem, self.residues))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GrPoint) and self.field == other.field and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.rows))
 
     def __repr__(self) -> str:
         return f"GrPoint({self.matrix!r})"
 
 
+_field = lru_cache(maxsize=None)(PrimeField)
+
+
+@lru_cache(maxsize=None)
+def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
+    """The Schubert cell of ``pivot``: every reduced echelon matrix with those
+    pivot columns, its free entries filled in the order of one product."""
+    field = _field(q)
+    bits = [1 << i for i in range(math.comb(n, k))]
+    piv0 = [e - 1 for e in pivot.elements]
+    last = piv0[-1]
+    free = [(i, j) for i in range(k - 1) for j in range(n) if j > piv0[i] and j not in piv0]
+    base = [[int(j == p) for j in range(n)] for p in piv0[:-1]]
+    # every column right of the last pivot is free in the last row, and
+    # its entries vary fastest, as in one product over all free entries
+    last_free = range(last + 1, n)
+    last_rows = [
+        (field.zero,) * last + (field.one,) + tuple(map(field, fill))
+        for fill in itertools.product(range(q), repeat=len(last_free))
+    ]
+    points = []
+    for fill in itertools.product(range(q), repeat=len(free)):
+        grid = [row[:] for row in base]
+        for (i, j), v in zip(free, fill):
+            grid[i][j] = v
+        upper = _minors(grid, n)
+        # every k-minor is linear in the last row: coef[c] holds the weight
+        # of that row's column c in each minor, mod q
+        coef = [[0] * len(bits) for _ in range(n)]
+        for s, terms in enumerate(_expansion(k, n)):
+            for sign, c, i in terms:
+                coef[c][s] = sign * upper[i] % q
+        vecs = [coef[last]]
+        for c in last_free:
+            multiples = [[v * x % q for x in coef[c]] for v in range(q)]
+            vecs = [[(a + b) % q for a, b in zip(vec, m)] for vec in vecs for m in multiples]
+        upper_rows = tuple(tuple(map(field, row)) for row in grid)
+        for row, vals in zip(last_rows, vecs):
+            points.append(GrPoint(upper_rows + (row,), tuple(vals), sum(itertools.compress(bits, vals)), field))
+    return tuple(points)
+
+
 @lru_cache(maxsize=None)
 def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
-    field = PrimeField(q)
-    # residue -> field element, made only when used: q may be near 2**31 when k == n
-    elem = field._elems.__getitem__ if field._elems is not None else field
-    subsets = enumerate_subsets(k, n)
-    bits = [1 << i for i in range(len(subsets))]
-    expansion = _expansion(k, n)
-    points = []
-    for pivot in subsets:
-        piv0 = [e - 1 for e in pivot.elements]
-        last = piv0[-1]
-        free = [(i, j) for i in range(k - 1) for j in range(n) if j > piv0[i] and j not in piv0]
-        base = [[int(j == p) for j in range(n)] for p in piv0[:-1]]
-        # every column right of the last pivot is free in the last row, and
-        # its entries vary fastest, as in one product over all free entries
-        last_free = range(last + 1, n)
-        last_rows = [
-            (field.zero,) * last + (field.one,) + tuple(map(elem, fill))
-            for fill in itertools.product(range(q), repeat=len(last_free))
-        ]
-        for fill in itertools.product(range(q), repeat=len(free)):
-            grid = [row[:] for row in base]
-            for (i, j), v in zip(free, fill):
-                grid[i][j] = v
-            upper = _minors(grid, n)
-            # every k-minor is linear in the last row: coef[c] holds the weight
-            # of that row's column c in each minor, mod q
-            coef = [[0] * len(subsets) for _ in range(n)]
-            for s, terms in enumerate(expansion):
-                for sign, c, i in terms:
-                    coef[c][s] = sign * upper[i] % q
-            vecs = [coef[last]]
-            for c in last_free:
-                multiples = [[v * x % q for x in coef[c]] for v in range(q)]
-                vecs = [[(a + b) % q for a, b in zip(vec, m)] for vec in vecs for m in multiples]
-            upper_rows = tuple(tuple(map(elem, row)) for row in grid)
-            for row, vals in zip(last_rows, vecs):
-                matrix = ExactMatrix._of_rows(upper_rows + (row,), field)
-                pv = PluckerVector(k, n, field, map(elem, vals))
-                points.append(GrPoint(matrix, pv, sum(itertools.compress(bits, vals))))
+    points = tuple(itertools.chain.from_iterable(_cell(k, n, q, s) for s in enumerate_subsets(k, n)))
     assert len(points) == gaussian_binomial(n, k, q)
-    return tuple(points)
+    return points
 
 
 def enumerate_grassmannian(
@@ -151,12 +182,22 @@ def _check_budget(k: int, n: int, q: int, budget: int) -> None:
     """Raise unless Gr(k, n) over GF(q) is defined and has at most ``budget`` points."""
     if not 0 < k <= n:
         raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
-    PrimeField(q)  # rejects q >= 2**31 by size, before any trial division
+    _field(q)  # rejects q >= 2**31 by size, before any trial division
     total = gaussian_binomial(n, k, q)
     if total > budget:
         raise BudgetError(
             f"Grassmannian({k},{n}) over GF({q}) has {total} points, over the budget {budget}"
         )
+
+
+def candidate_points(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[GrPoint]:
+    """The points of every cell that can meet ``spec``, in enumeration order,
+    once the whole Grassmannian passes the budget check.  Every point of the
+    cell of alpha has Delta_alpha = 1, so a spec that makes alpha vanish admits
+    no point there; the caller still filters the points of the other cells."""
+    _check_budget(spec.k, spec.n, q, budget)
+    cells = [s for i, s in enumerate(enumerate_subsets(spec.k, spec.n)) if not spec._vanish >> i & 1]
+    return itertools.chain.from_iterable(_cell(spec.k, spec.n, q, s) for s in cells)
 
 
 def richardson_buckets(
@@ -176,19 +217,17 @@ def richardson_buckets(
 def _buckets(k: int, n: int, q: int) -> dict[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
     subsets = enumerate_subsets(k, n)
     by_elements = {s.elements: s for s in subsets}
-    keys: dict[int, tuple[KSubset, KSubset]] = {}
+    his: dict[int, KSubset] = {}
     buckets: dict[tuple[KSubset, KSubset], list[GrPoint]] = {}
-    for point in _grassmannian_cached(k, n, q):
-        key = keys.get(point.support)
-        if key is None:
-            support = [s.elements for i, s in enumerate(subsets) if point.support >> i & 1]
-            lo = tuple(min(xs) for xs in zip(*support))
-            hi = tuple(max(xs) for xs in zip(*support))
-            lo_s, hi_s = by_elements.get(lo), by_elements.get(hi)
-            assert lo_s is not None and lo in support, "support lost its minimum"
-            assert hi_s is not None and hi in support, "support lost its maximum"
-            key = keys[point.support] = (lo_s, hi_s)
-        buckets.setdefault(key, []).append(point)
+    for lo in subsets:  # the pivot set of a cell's points is their minimum
+        for point in _cell(k, n, q, lo):
+            hi = his.get(point.support)
+            if hi is None:
+                support = [s.elements for i, s in enumerate(subsets) if point.support >> i & 1]
+                assert tuple(map(min, zip(*support))) == lo.elements, "support lost its minimum"
+                hi = his[point.support] = by_elements[tuple(map(max, zip(*support)))]
+                assert hi.elements in support, "support lost its maximum"
+            buckets.setdefault((lo, hi), []).append(point)
     return {key: tuple(pts) for key, pts in buckets.items()}
 
 
@@ -200,8 +239,7 @@ def _support_reps(k: int, n: int, q: int) -> dict[int, GrPoint]:
 
 def membership(point: GrPoint, spec: VarietySpec) -> bool:
     """All must-vanish coordinates zero and all must-not-vanish nonzero."""
-    pv = point.plucker
-    if (pv.k, pv.n) != (spec.k, spec.n):
+    if (len(point.rows), len(point.rows[0])) != (spec.k, spec.n):
         raise ParameterError("point and spec live on different Grassmannians")
     return spec.admits(point.support)
 
@@ -241,11 +279,8 @@ def open_richardson_points(
 
 
 def closed_richardson_points(beta: KSubset, gamma: KSubset, q: int) -> tuple[GrPoint, ...]:
-    out: list[GrPoint] = []
-    for (lo, hi), pts in richardson_buckets(beta.k, beta.n, q).items():
-        if subset_leq(beta, lo) and subset_leq(hi, gamma):
-            out.extend(pts)
-    return tuple(out)
+    spec = richardson_spec(beta, gamma)
+    return tuple(p for p in candidate_points(spec, q) if spec.admits(p.support))
 
 
 def count_points(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -295,20 +330,14 @@ def verify_positroid_divisor(
         return _report("Thm7-divisor", params, reports.PASS, None, started)
     for q2 in extra_primes:
         try:
-            pts2 = enumerate_grassmannian(beta.k, beta.n, q2, budget)
+            points = candidate_points(div_spec, q2, budget)
         except BudgetError:
             continue
-        if any(div_spec.admits(p.support) for p in pts2):
-            return _report(
-                "Thm7-divisor", params, reports.PASS, f"nonempty over GF({q2})", started
-            )
-    return _report(
-        "Thm7-divisor",
-        params,
-        reports.FLAG,
-        f"no rational points over GF(q), q in {extra_primes}",
-        started,
-    )
+        if any(div_spec.admits(p.support) for p in points):
+            witness = f"nonempty over GF({q2})"
+            return _report("Thm7-divisor", params, reports.PASS, witness, started)
+    witness = f"no rational points over GF(q), q in {extra_primes}"
+    return _report("Thm7-divisor", params, reports.FLAG, witness, started)
 
 
 def verify_complement(
@@ -362,8 +391,6 @@ def verify_w_count(
     beta: KSubset, gamma: KSubset, q: int, budget: int = DEFAULT_BUDGET
 ) -> ClaimReport:
     """Enumerated size of the fully-inverted stratum vs q^stars * (q-1)^units."""
-    from .matrices import YShape
-
     started = time.monotonic()
     params = {"beta": str(beta), "gamma": str(gamma), "q": q}
     shape = YShape(beta, gamma)
@@ -409,29 +436,18 @@ def interpolate_count_polynomial(
 
 
 def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    m = len(xs)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(m):
-            if j == i:
-                continue
-            basis = _poly_mul_linear(basis, -xs[j])
-            denom *= xs[i] - xs[j]
+    zero = Fraction(0)
+    coeffs = [zero] * len(xs)
+    for i, xi in enumerate(xs):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for xj in xs[:i] + xs[i + 1 :]:
+            # basis * (x - xj), lowest degree first
+            basis = [a - xj * b for a, b in zip([zero] + basis, basis + [zero])]
+            denom *= xi - xj
         scale = ys[i] / denom
         for d, c in enumerate(basis):
             coeffs[d] += scale * c
     return coeffs
-
-
-def _poly_mul_linear(poly: list[Fraction], constant: Fraction) -> list[Fraction]:
-    # poly * (x + constant)
-    out = [Fraction(0)] * (len(poly) + 1)
-    for d, c in enumerate(poly):
-        out[d] += c * constant
-        out[d + 1] += c
-    return out
 
 
 def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:

@@ -372,6 +372,30 @@ class TestSerialization:
                 parse_certificate(text)
             assert (err.value.line, err.value.column) == (10, 1)
 
+    def test_numbers_are_ascii_digits(self):
+        # int() and str.isdecimal() accept these spellings, which would not
+        # survive a round trip through format_certificate
+        good = format_certificate(
+            principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
+        )
+        for coeff in ("+1", "1_0", "\u0663"):
+            text = good.replace("\n1 {2,3} {2,4}^-1\n", f"\n{coeff} {{2,3}} {{2,4}}^-1\n")
+            with pytest.raises(ParseError, match=re.escape(repr(coeff))) as err:
+                parse_certificate(text)
+            assert (err.value.line, err.value.column) == (10, 1)
+        b, g = ks((1, 2, 3), 6), ks((2, 5, 6), 6)
+        wide = format_certificate(principal_certificate(b, g, 1, next(iter(p_set_complement(b, g, 1)))))
+        cases = [
+            (wide.replace("n 6", "n \u0666"), 2),
+            (good.replace("k 2", "k +2"), 3),
+            (good.replace("t 1", "t \u0661"), 6),
+            (good.replace("cofactor 1", "cofactor 1_0"), 9),
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError, match="is not a nonnegative integer") as err:
+                parse_certificate(text)
+            assert err.value.line == line, (text, err.value)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_drawn_certificates_round_trip(self, data):

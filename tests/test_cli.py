@@ -63,7 +63,7 @@ class TestCount:
             raise AssertionError("enumerated before checking --k")
 
         monkeypatch.setattr(cli_mod, "enumerate_grassmannian", no_enumeration)
-        monkeypatch.setattr(cli_mod, "count_points", no_enumeration)
+        monkeypatch.setattr(cli_mod, "candidate_points", no_enumeration)
         for command in ("count", "enumerate"):
             code, out, err = run_cli(
                 capsys,
@@ -107,6 +107,50 @@ class TestCount:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+
+class TestCellReader:
+    """``count`` and ``enumerate`` of a spec read only the Schubert cells whose
+    pivot coordinate the spec allows; no point may be lost or reordered."""
+
+    @pytest.mark.parametrize("k,n,q", [(2, 4, 3), (3, 5, 2), (2, 5, 2)])
+    def test_every_locus_matches_full_enumeration(self, capsys, k, n, q):
+        from plucker import (
+            ParameterError,
+            count_points,
+            divisor_spec,
+            enumerate_grassmannian,
+            iter_comparable_pairs,
+            membership,
+            richardson_spec,
+            w_spec,
+        )
+
+        points = enumerate_grassmannian(k, n, q)
+        lines = {p: "  ".join(" ".join(map(str, row)) for row in p.matrix.rows) for p in points}
+        head = ["--k", str(k), "--n", str(n), "--q", str(q)]
+        assert run_cli(capsys, "count", *head) == (0, f"{len(points)}\n", "")
+        assert run_cli(capsys, "enumerate", *head)[1].splitlines() == list(lines.values())
+        for beta, gamma in iter_comparable_pairs(k, n):
+            loci = [
+                ("richardson", None, richardson_spec(beta, gamma)),
+                ("open-richardson", None, richardson_spec(beta, gamma, open_=True)),
+                ("w", None, w_spec(beta, gamma)),
+            ]
+            loci += [("divisor", t, None) for t in range(1, k)]
+            for name, t, spec in loci:
+                argv = head + ["--spec", name, "--beta", str(beta), "--gamma", str(gamma)]
+                argv += [] if t is None else ["--t", str(t)]
+                if name == "divisor":
+                    try:
+                        spec = divisor_spec(beta, gamma, t)
+                    except ParameterError:  # the pivot is beta or gamma: a contradiction
+                        assert run_cli(capsys, "count", *argv)[0] == 2, argv
+                        continue
+                expected = [lines[p] for p in points if membership(p, spec)]
+                assert run_cli(capsys, "count", *argv) == (0, f"{count_points(spec, q)}\n", ""), argv
+                code, out, _ = run_cli(capsys, "enumerate", *argv)
+                assert code == 0 and out.splitlines() == expected, argv
 
 
 class TestCertificate:

@@ -51,3 +51,14 @@ def test_certificate_digest_is_reproducible():
         ("unit", "438", "fdd3f5d2d0e89d46"),
         ("all", "3496", "b6c38d4d9d61b05e"),
     ]
+
+
+def test_locus_digest_is_reproducible():
+    # the digests of every count and enumerate query of Gr(2,4)/GF(3) and
+    # Gr(3,5)/GF(2), recorded before enumeration was read one cell at a time
+    lines = [line.split() for line in run_script("locus_digest.py").splitlines()]
+    assert [(line[0], line[1], line[-1]) for line in lines] == [
+        ("count", "332", "49ac948305c67aa5"),
+        ("enumerate", "332", "8cd115f93c9b834d"),
+        ("all", "664", "4c37aa80bdba2832"),
+    ]

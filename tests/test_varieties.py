@@ -109,6 +109,54 @@ class TestEnumeration:
         assert len(set(pts)) == len(pts)
 
 
+class TestLazyPoints:
+    """A point holds its rows, residues and support; its matrix and minor
+    vector are built when read, and it compares, hashes and prints as its matrix."""
+
+    @staticmethod
+    def fresh(k, n, q):
+        import plucker.varieties as varieties
+
+        for cache in (varieties._cell, varieties._grassmannian_cached, varieties._buckets, varieties._support_reps):
+            cache.cache_clear()
+        return enumerate_grassmannian(k, n, q)
+
+    def test_independent_builds_give_equal_points(self):
+        first, second = self.fresh(2, 4, 3), self.fresh(2, 4, 3)
+        assert len(first) == len(second) == 130
+        for a, b in zip(first, second):
+            assert a is not b and a.rows is not b.rows
+            assert a == b and hash(a) == hash(b) == hash(a.matrix)
+        assert len(set(first) | set(second)) == 130
+        assert first[0] != first[1] and first[0] != first[0].matrix
+
+    def test_repr_and_immutability(self):
+        points = enumerate_grassmannian(2, 4, 3)
+        # as recorded when points were dataclasses holding their matrix
+        assert repr(points[0]) == "GrPoint(ExactMatrix[1 0 0 0; 0 1 0 0])"
+        assert repr(points[77]) == "GrPoint(ExactMatrix[1 0 2 2; 0 1 1 2])"
+        assert repr(points[-1]) == "GrPoint(ExactMatrix[0 0 1 0; 0 0 0 1])"
+        for name in ("rows", "residues", "support", "field", "matrix", "plucker", "other"):
+            with pytest.raises(AttributeError):
+                setattr(points[0], name, None)
+
+    def test_count_builds_no_matrix_and_no_minor_vector(self, monkeypatch):
+        from plucker.matrices import PluckerVector
+
+        def built(*args, **kwargs):
+            raise AssertionError("a point object was built")
+
+        monkeypatch.setattr(ExactMatrix, "_set", built)  # behind __init__ and _of_rows
+        monkeypatch.setattr(PluckerVector, "__init__", built)
+        points = self.fresh(2, 4, 3)
+        assert count_points(w_spec(ks((1, 2), 4), ks((3, 4), 4)), 3) == 36
+        assert len(richardson_buckets(2, 4, 3)) == 20
+        with pytest.raises(AssertionError, match="point object"):
+            points[0].plucker
+        with pytest.raises(AssertionError, match="point object"):
+            points[0].matrix
+
+
 class TestBuckets:
     @pytest.mark.parametrize("q", (2, 3))
     def test_partition_of_24(self, q):
