@@ -34,8 +34,8 @@ with monomials m_i of nonnegative powers.  Either identity is
 homogeneous of one degree, so it holds at a minor vector exactly when it
 holds at any nonzero multiple of that vector, where the inverted coordinates
 do not vanish.  A GF(q) point is read as its residues and compared mod q; a
-rational point as its coordinates times the lcm of their denominators.  The
-rational points of the banded piece are the minors of a banded matrix
+rational point as a nonzero int multiple of it, compared exactly.  The
+rational points of the banded piece are the int minors of a banded matrix
 itself: its gamma-column block G is lower unipotent, so ``phi`` (which
 left-multiplies by G^-1) changes no maximal minor, as det G = 1.
 """
@@ -314,7 +314,7 @@ def compiled_relations(k: int, n: int) -> tuple[tuple, ...]:
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
     """True iff every quadratic exchange relation vanishes at ``p``."""
-    x, q = _int_form(p, range(len(p.values))), p.field.characteristic
+    x, q = _ints(p, p.k, p.n), p.field.characteristic
     return all(vanishes(terms, [x], q) for terms in compiled_relations(p.k, p.n))
 
 
@@ -412,6 +412,8 @@ def principal_certificate(
     beta: KSubset, gamma: KSubset, t: int, alpha: KSubset
 ) -> Certificate:
     """Certificate that the target is a pivot multiple, built by exchange recursion."""
+    if (alpha.k, alpha.n) != (beta.k, beta.n):
+        raise ParameterError(f"{alpha} has (k, n) = {alpha.k, alpha.n}, but beta {beta} has {beta.k, beta.n}")
     if not avoids_window(alpha, beta, gamma, t):
         raise ParameterError(f"{alpha} does not avoid the window of ({beta}, {gamma}, t={t})")
     cof = _cofactor(beta, gamma, t, alpha)
@@ -482,15 +484,16 @@ def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
     return _clear(sides, _subset_positions(cert.beta.k, cert.beta.n))
 
 
-def _int_form(point: PluckerVector, used) -> dict[int, int]:
-    """The coordinates of ``point`` at the positions ``used`` as ints, keyed by
-    position: over GF(q) the residues, to compare mod q; over QQ the
-    coordinates times the lcm of their denominators, to compare exactly."""
+def _ints(point: PluckerVector, k: int, n: int) -> list[int]:
+    """The coordinates of ``point``, of Gr(k, n), as one int vector: over GF(q)
+    its residues, over QQ its coordinates times the lcm of their denominators."""
+    if (point.k, point.n) != (k, n):
+        raise ParameterError(f"a point of Gr({point.k}, {point.n}), not of Gr({k}, {n})")
     values = point.values
     if point.field.characteristic:
-        return {p: values[p].value for p in used}
-    scale = math.lcm(*(values[p].denominator for p in used))
-    return {p: values[p].numerator * (scale // values[p].denominator) for p in used}
+        return [v.value for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _value(terms, x) -> int:
@@ -509,26 +512,30 @@ def vanishes(terms, vectors, q: int = 0) -> bool:
     return not any(_value(terms, x) % q if q else _value(terms, x) for x in vectors)
 
 
-def _holds(cert: Certificate, identity, points: Iterable[PluckerVector]) -> bool:
-    """Whether a compiled identity holds at every point, compared exactly.  Points
-    are read in order, up to the first failure, with one ``vanishes`` call per
-    run of points of one characteristic (one call per point costs more)."""
-    used, inverted, terms = identity
-    k, n = cert.beta.k, cert.beta.n
+def holds(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression, groups) -> bool:
+    """Whether  Delta_lhs = Delta_pivot * expr  (``_compile``) holds at every int
+    vector of ``groups``, (q, vectors) pairs compared mod q when q is nonzero.
+    Vectors are read in order, up to the first failure; an inverted coordinate
+    that vanishes raises EvaluationError."""
+    _, inverted, terms = _compile(cert, lhs, expr)
 
-    def int_forms(run):
-        for point in run:
-            if point.k != k or point.n != n:
-                raise ParameterError(f"a point of Gr({point.k}, {point.n}), not of Gr({k}, {n})")
-            x = _int_form(point, used)
+    def checked(vectors):
+        for x in vectors:
             for p in inverted:
                 if not x[p]:
-                    index = enumerate_subsets(k, n)[p]
-                    raise EvaluationError(f"coordinate {index} vanishes but is inverted at point {point!r}")
+                    index = enumerate_subsets(cert.beta.k, cert.beta.n)[p]
+                    raise EvaluationError(f"coordinate {index} vanishes but is inverted at {list(x)}")
             yield x
 
-    runs = itertools.groupby(points, operator.attrgetter("field.characteristic"))
-    return all(vanishes(terms, int_forms(run), q) for q, run in runs)
+    return all(vanishes(terms, checked(vectors), q) for q, vectors in groups)
+
+
+def _groups(cert: Certificate, points: Iterable[PluckerVector]):
+    """``points`` as ``holds`` reads them: a (q, int vectors) group per run of
+    one characteristic, each point converted once, when it is reached."""
+    k, n = cert.beta.k, cert.beta.n
+    for q, run in itertools.groupby(points, operator.attrgetter("field.characteristic")):
+        yield q, (_ints(point, k, n) for point in run)
 
 
 def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bool:
@@ -537,7 +544,7 @@ def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bo
     The identity is compiled to int form (see the module docstring); a
     cofactor monomial of nonzero degree raises ParameterError, and an inverted
     coordinate that vanishes at a point raises EvaluationError."""
-    return _holds(cert, _compile(cert, cert.target, cert.cofactor), points)
+    return holds(cert, cert.target, cert.cofactor, _groups(cert, points))
 
 
 def verify_pivot_inverse(cert: Certificate, points: Iterable[PluckerVector]) -> bool:
@@ -545,7 +552,7 @@ def verify_pivot_inverse(cert: Certificate, points: Iterable[PluckerVector]) -> 
     compiled like :func:`verify_certificate`."""
     if cert.pivot_inverse is None:
         raise ParameterError("the certificate records no pivot inverse")
-    return _holds(cert, _compile(cert, None, cert.pivot_inverse), points)
+    return holds(cert, None, cert.pivot_inverse, _groups(cert, points))
 
 
 # Serialization: header lines, then one line per cofactor term.
@@ -555,13 +562,7 @@ _SYMBOL_RE = re.compile(r"^(\{[0-9,]+\})(?:\^(-?[1-9][0-9]{0,8}))?$")
 
 
 def _format_terms(expr: LaurentExpression) -> list[str]:
-    lines = []
-    for coeff, mono in expr.terms:
-        parts = [str(coeff)]
-        for s in mono:
-            parts.append(str(s.index) if s.power == 1 else f"{s.index}^{s.power}")
-        lines.append(" ".join(parts))
-    return lines
+    return [" ".join(map(str, (coeff, *mono))) for coeff, mono in expr.terms]
 
 
 def format_certificate(cert: Certificate) -> str:

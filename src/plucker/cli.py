@@ -172,8 +172,9 @@ def _locus_points(args):
 
 
 def _cmd_enumerate(args) -> int:
+    text = {}  # points share rows (upper ones within a fill, the last within a cell)
     for point in _locus_points(args):
-        print("  ".join(" ".join(str(x) for x in row) for row in point.rows))
+        print("  ".join([text.get(row) or text.setdefault(row, " ".join(map(str, row))) for row in point.rows]))
     return 0
 
 

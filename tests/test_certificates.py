@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plucker.certificates as certs
-from plucker.certificates import compiled_relations
+from plucker.certificates import compiled_relations, holds
+from plucker.matrices import integer_minors
 from plucker import (
     QQ,
     Certificate,
+    SweepConfig,
     EvaluationError,
     ExactMatrix,
     KSubset,
@@ -251,6 +253,12 @@ class TestPrincipalCertificate:
         b, g = ks((1, 2), 4), ks((3, 4), 4)
         with pytest.raises(ParameterError):
             principal_certificate(b, g, 1, ks((2, 3), 4))  # meets the window
+
+    @pytest.mark.parametrize("alpha", [ks((1, 2, 3), 4), ks((1, 4), 5)], ids=["k", "n"])
+    def test_target_of_another_grassmannian_named(self, alpha):
+        b, g = ks((1, 2), 4), ks((3, 4), 4)
+        with pytest.raises(ParameterError, match=re.escape(f"{alpha} has (k, n) = {alpha.k, alpha.n}")):
+            principal_certificate(b, g, 1, alpha)
 
     def test_memoized(self):
         b, g = ks((1, 2, 3), 6), ks((2, 5, 6), 6)
@@ -612,3 +620,89 @@ class TestIntegerRelations:
             for cache in caches:
                 cache.cache_clear()
         assert len(relation_table(2, 4)) > 0
+
+
+class TestStratumVectors:
+    """The claims' fast path: ``holds`` on int vectors read once per stratum (GF(q)
+    residues and int minors of banded matrices), against ``evaluate`` on the
+    matching PluckerVectors (``oracle`` in conftest.py)."""
+
+    @staticmethod
+    def stratum(beta, gamma, seed):
+        """The (q, int vectors) groups the claims read for one stratum, and the
+        matching PluckerVectors, group by group."""
+        from plucker.claims import _open_residues
+
+        groups = _open_residues(beta, gamma, SweepConfig(primes=(2, 3)).validate(), [])
+        points = [[p.plucker for p in open_richardson_points(beta, gamma, q)] for q, _ in groups]
+        rng = random.Random(seed)
+        ys = [sample_y(beta, gamma, QQ, rng) for _ in range(4)]
+        groups.append((0, [integer_minors(y.rows, beta.n)[0] for y in ys]))
+        points.append(rational_w_points(beta, gamma, 4, seed))
+        return groups, points
+
+    @staticmethod
+    def probes(beta, gamma, rng):
+        """(q, int vector, PluckerVector) triples off the stratum, Delta_beta and
+        Delta_gamma nonzero: where most certificates fail."""
+        k, n = beta.k, beta.n
+        grassmannian = enumerate_grassmannian(k, n, 3)
+        drawn = [grassmannian[rng.randrange(len(grassmannian))] for _ in range(40)]
+        out = [(3, p.residues, p.plucker) for p in drawn if p.plucker[beta] and p.plucker[gamma]][:4]
+        for _ in range(3):
+            m = ExactMatrix([[QQ.random_element(rng) for _ in range(n)] for _ in range(k)], QQ)
+            point = maximal_minors(m)
+            if point[beta] and point[gamma]:
+                out.append((0, integer_minors(m.rows, n)[0], point))
+        return out
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 6)])
+    def test_verdicts_match_the_oracle(self, k, n, oracle, inverse_oracle):
+        rng = random.Random(f"stratum:{k}:{n}")
+        verdicts = {True: 0, False: 0}
+        pair = None
+        for cert in certificates_of(k, n):
+            if (cert.beta, cert.gamma) != pair:
+                pair = (cert.beta, cert.gamma)
+                groups, points = self.stratum(*pair, seed=rng.randrange(10**6))
+                probes = self.probes(*pair, rng)
+            sides = [(cert.target, cert.cofactor, oracle)]
+            if cert.pivot_inverse is not None:
+                sides.append((None, cert.pivot_inverse, inverse_oracle))
+            for lhs, expr, reference in sides:
+                assert holds(cert, lhs, expr, groups) == all(reference(cert, pts) for pts in points) is True
+                for q, x, point in probes:
+                    got = holds(cert, lhs, expr, [(q, [x])])
+                    assert got == reference(cert, [point]), (cert, point)
+                    verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 6)])
+    def test_rational_vectors_are_positive_multiples_of_the_minors(self, k, n):
+        for i, (beta, gamma) in enumerate(iter_comparable_pairs(k, n)):
+            rng, again = random.Random(i), random.Random(i)
+            for _ in range(3):
+                x = integer_minors(sample_y(beta, gamma, QQ, rng).rows, n)[0]
+                minors = maximal_minors(phi(sample_y(beta, gamma, QQ, again), beta, gamma)).values
+                scale = next(Fraction(a) / b for a, b in zip(x, minors) if b)
+                assert scale > 0 and [Fraction(a) for a in x] == [scale * b for b in minors]
+
+    def test_vanishing_inverted_coordinate_raises_in_order(self, oracle):
+        beta, gamma = ks((1, 3), 4), ks((2, 4), 4)
+        cert = principal_certificate(beta, gamma, 1, ks((2, 3), 4))
+        rng = random.Random(5)
+        while True:
+            rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
+            point = maximal_minors(ExactMatrix(rows, QQ))
+            if point[beta] and point[gamma] and not oracle(cert, [point]):
+                break
+        failing = integer_minors(rows, 4)[0]
+        for zero, unit in ((beta, gamma), (gamma, beta)):
+            # identity columns at ``unit``: Delta_unit = 1, Delta_zero = 0
+            vanishing = integer_minors([[int(j == c) for j in range(1, 5)] for c in unit], 4)[0]
+            for q in (0, 5):
+                with pytest.raises(EvaluationError, match=re.escape(str(zero))):
+                    holds(cert, cert.target, cert.cofactor, [(q, [vanishing])])
+            assert holds(cert, cert.target, cert.cofactor, [(0, [failing, vanishing])]) is False
+            with pytest.raises(EvaluationError):
+                holds(cert, cert.target, cert.cofactor, [(0, [vanishing, failing])])

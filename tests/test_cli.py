@@ -130,7 +130,8 @@ class TestCellReader:
         lines = {p: "  ".join(" ".join(map(str, row)) for row in p.matrix.rows) for p in points}
         head = ["--k", str(k), "--n", str(n), "--q", str(q)]
         assert run_cli(capsys, "count", *head) == (0, f"{len(points)}\n", "")
-        assert run_cli(capsys, "enumerate", *head)[1].splitlines() == list(lines.values())
+        # byte for byte: each row formatted entry by entry
+        assert run_cli(capsys, "enumerate", *head)[1] == "".join(f"{line}\n" for line in lines.values())
         for beta, gamma in iter_comparable_pairs(k, n):
             loci = [
                 ("richardson", None, richardson_spec(beta, gamma)),
@@ -179,6 +180,16 @@ class TestCertificate:
             "--alpha", "{2,3}",
         )
         assert code == 2 and "error" in err
+
+    def test_target_of_another_size_names_the_mismatch(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "certificate",
+            "--n", "4", "--beta", "{1,2}", "--gamma", "{3,4}", "--t", "1",
+            "--alpha", "{1,2,3}",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: {1,2,3} has (k, n) = (3, 4), but beta {1,2} has (2, 4)\n"
 
 
 class TestParam:
