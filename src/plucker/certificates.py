@@ -16,8 +16,8 @@ recursion well-founded with the pivot as unique minimum.
 Signs of the exchange relations follow the shuffle convention (parity of
 sorting the modified index sequences).  Each relation is checked the first
 time it is built, before it or its signs are handed out: in compiled form,
-it must vanish on the integer minors of seeded random integer matrices, or
-the build aborts.
+it must be the zero polynomial on the minors of the identity chart [I | X]
+(``_chart_minors``, a proof over Z), or the build aborts.
 
 Relations and certificates are checked in one compiled form: a polynomial
 identity on plain ints, as (coefficient, ((position, power), ...)) terms over
@@ -45,14 +45,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import EvaluationError, ParameterError, ParseError
-from .matrices import PluckerVector, _subset_positions, integer_minors
+from .matrices import PluckerVector, _minors, _subset_positions
 from .subsets import (
     KSubset,
     avoids_window,
@@ -63,10 +62,6 @@ from .subsets import (
     parse_subset,
     subset_leq,
 )
-
-_GATE_SAMPLES = 50
-_GATE_SEED = 987654321
-
 
 class PluckerSymbol:
     """A formal coordinate symbol with an integer power."""
@@ -260,21 +255,51 @@ def _exchange_terms(
     return out
 
 
-@lru_cache(maxsize=None)
-def _gate_minors(k: int, n: int) -> tuple[list[int], ...]:
-    """Minors of ``_GATE_SAMPLES`` seeded random integer k x n matrices."""
-    rng = random.Random(_GATE_SEED)
-    return tuple(
-        integer_minors([[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)], n)[0]
-        for _ in range(_GATE_SAMPLES)
-    )
+class _Poly(dict):
+    """An int polynomial, sorted variable tuples to nonzero ints, with only what
+    ``_minors`` and ``_value`` use: ``+``, ``*`` (ints on either side), ``**``, truth."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=()):
+        for m, c in terms:  # (monomial, int) pairs, summed
+            c += self.pop(m, 0)
+            if c:
+                self[m] = c
+
+    def __add__(self, other):
+        return _Poly([*self.items(), *_items(other)])
+
+    def __mul__(self, other):
+        return _Poly((tuple(sorted(m + m2)), c * c2) for m, c in self.items() for m2, c2 in _items(other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, e: int):
+        return reduce(operator.mul, [self] * e)
+
+
+def _items(x):
+    return x.items() if isinstance(x, _Poly) else [((), x)]
 
 
 @lru_cache(maxsize=None)
-def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentExpression, tuple]:
-    """The relation for the exchange of b of ``other`` into ``alpha``, and its
-    ``_exchange_terms``.  The only source of exchange signs: the relation,
-    compiled, must vanish on every gate matrix's minors, or the sign
+def _chart_minors(k: int, n: int) -> list:
+    """The maximal minors of the identity chart [I | X], X a k x (n - k) matrix of
+    variables (r, c).  A relation P that is zero on them is zero over Z: each term of P
+    is a product of two maximal minors, so P(g M) = det(g)^2 P(M).  Every k x n
+    M whose first k columns are independent is g times a point of the chart,
+    and these M are dense, so P is zero over Q; its coefficients are ints, so
+    it is zero over Z and over every field."""
+    x = [[_Poly([(((r, c),), 1)]) for c in range(n - k)] for r in range(k)]
+    return _minors([[int(j == r) for j in range(k)] + x[r] for r in range(k)], n)
+
+
+@lru_cache(maxsize=None)
+def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentExpression, tuple, tuple]:
+    """The relation for the exchange of b of ``other`` into ``alpha``, its
+    ``_exchange_terms`` and its compiled terms.  The only source of exchange
+    signs: compiled, it must be zero on ``_chart_minors``, or the sign
     convention is wrong and the build stops.
     """
     terms = tuple(_exchange_terms(alpha, other, b))
@@ -284,9 +309,10 @@ def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentEx
     )
     k, n = alpha.k, alpha.n
     # no inverse, so D = 1 (see ``_clear``)
-    if not vanishes(_clear(relation.terms, _subset_positions(k, n))[2], _gate_minors(k, n)):
+    compiled = _clear(relation.terms, _subset_positions(k, n))[1]
+    if not vanishes(compiled, [_chart_minors(k, n)]):
         raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
-    return relation, terms
+    return relation, terms, compiled
 
 
 def _exchanges(k: int, n: int):
@@ -300,7 +326,7 @@ def _exchanges(k: int, n: int):
 
 @lru_cache(maxsize=None)
 def relation_table(k: int, n: int) -> tuple[LaurentExpression, ...]:
-    """All exchange relations for S(k, n), each checked on the gate matrices."""
+    """All exchange relations for S(k, n), each checked on the identity chart."""
     return tuple(_checked_exchange(*key)[0] for key in _exchanges(k, n))
 
 
@@ -308,8 +334,7 @@ def compiled_relations(k: int, n: int) -> tuple[tuple, ...]:
     """The relations of ``relation_table(k, n)``, in its order, in compiled
     form: each sums to 0 at every minor vector, and at every nonzero multiple
     of one.  A relation that cancels to zero compiles to no terms."""
-    pos = _subset_positions(k, n)
-    return tuple(_clear(relation.terms, pos)[2] for relation in relation_table(k, n))
+    return tuple(_checked_exchange(*key)[2] for key in _exchanges(k, n))
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
@@ -445,9 +470,8 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
 def _clear(sides, pos: dict):
     """The identity  sum of c * monomial = 0  over the (int c, symbols) ``sides``,
     times D, the product of the inverted coordinates, each to its largest
-    inverse power.  Returns (used, inverted, terms): the lex positions (by
-    ``pos``) read and inverted, and one (c, ((position, power >= 1), ...)) term
-    per side."""
+    inverse power.  Returns (inverted, terms): the lex positions (by ``pos``)
+    inverted, and one (c, ((position, power >= 1), ...)) term per side."""
     inverse: dict[int, int] = {}
     for _, symbols in sides:
         for s in symbols:
@@ -461,8 +485,7 @@ def _clear(sides, pos: dict):
             p = pos[s.index.elements]
             powers[p] = powers.get(p, 0) + s.power
         terms.append((c, tuple((p, e) for p, e in powers.items() if e)))
-    used = sorted({p for _, mono in terms for p, _ in mono})
-    return used, tuple(inverse), tuple(terms)
+    return tuple(inverse), tuple(terms)
 
 
 def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
@@ -517,7 +540,7 @@ def holds(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression, group
     vector of ``groups``, (q, vectors) pairs compared mod q when q is nonzero.
     Vectors are read in order, up to the first failure; an inverted coordinate
     that vanishes raises EvaluationError."""
-    _, inverted, terms = _compile(cert, lhs, expr)
+    inverted, terms = _compile(cert, lhs, expr)
 
     def checked(vectors):
         for x in vectors:

@@ -31,8 +31,8 @@ class SweepConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo < 1:
                 raise ConfigError(f"{name} {lo}:{hi} is empty or invalid")
-        if not self.primes:
-            raise ConfigError("primes must be nonempty")
+        if not self.primes or len(set(self.primes)) < len(self.primes):
+            raise ConfigError(f"primes must be nonempty and distinct, got {self.primes}")
         for p in self.primes:
             if p >= _MAX_PRIME:  # by size first: trial division would take minutes
                 raise ConfigError(f"primes contains {p}, not below 2**31")

@@ -43,6 +43,7 @@ from .subsets import (
 )
 
 DEFAULT_BUDGET = 10**6
+_DIVISOR_PRIMES = (2, 3, 5, 7)  # tried by Thm7 when the divisor has no GF(q) point
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -299,7 +300,6 @@ def verify_positroid_divisor(
     t: int,
     q: int,
     budget: int = DEFAULT_BUDGET,
-    extra_primes: tuple[int, ...] = (2, 3, 5, 7),
 ) -> ClaimReport:
     """Check: the pivot zero locus inside the open stratum equals the
     window-family variety intersected with the open stratum.
@@ -328,7 +328,7 @@ def verify_positroid_divisor(
         return _report("Thm7-divisor", params, reports.FAIL, witness, started)
     if lhs:
         return _report("Thm7-divisor", params, reports.PASS, None, started)
-    for q2 in extra_primes:
+    for q2 in _DIVISOR_PRIMES:
         try:
             points = candidate_points(div_spec, q2, budget)
         except BudgetError:
@@ -336,7 +336,7 @@ def verify_positroid_divisor(
         if any(div_spec.admits(p.support) for p in points):
             witness = f"nonempty over GF({q2})"
             return _report("Thm7-divisor", params, reports.PASS, witness, started)
-    witness = f"no rational points over GF(q), q in {extra_primes}"
+    witness = f"no rational points over GF(q), q in {_DIVISOR_PRIMES}"
     return _report("Thm7-divisor", params, reports.FLAG, witness, started)
 
 

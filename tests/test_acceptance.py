@@ -38,7 +38,7 @@ from plucker.claims import (
     claim_w_count,
 )
 
-# k <= 3, n <= 6, q in {2, 3}, 100 rational samples, 50 gate matrices
+# k <= 3, n <= 6, q in {2, 3}, 100 rational samples, 50 Eq1 matrices
 BASE = SweepConfig().validate()
 assert BASE.rational_samples >= 100 and BASE.matrix_samples >= 50
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plucker.certificates as certs
+import plucker.matrices as matrices
+import plucker.subsets as subsets
 from plucker.certificates import compiled_relations, holds
 from plucker.matrices import integer_minors
 from plucker import (
@@ -495,17 +497,17 @@ class TestCompiledIdentity:
 
     @staticmethod
     def flip_sign(identity):
-        used, inverted, terms = identity
+        inverted, terms = identity
         c, mono = terms[1]
-        return used, inverted, (terms[0], (-c, mono)) + terms[2:]
+        return inverted, (terms[0], (-c, mono)) + terms[2:]
 
     @staticmethod
     def drop_inverse(slot):
         def mutate(identity):
-            used, inverted, terms = identity
+            inverted, terms = identity
             c, mono = terms[0]
             lowered = tuple((i, e - (i == slot)) for i, e in mono)
-            return used, inverted, ((c, tuple(m for m in lowered if m[1])),) + terms[1:]
+            return inverted, ((c, tuple(m for m in lowered if m[1])),) + terms[1:]
 
         return mutate
 
@@ -522,7 +524,7 @@ class TestCompiledIdentity:
                 pair = (cert.beta, cert.gamma)
                 points = field_points(*pair, 3) + rational_w_points(*pair, 3, seed=11)
             identity = compile_(cert, cert.target, cert.cofactor)
-            mutations = [self.flip_sign] + [self.drop_inverse(slot) for slot in identity[1]]
+            mutations = [self.flip_sign] + [self.drop_inverse(slot) for slot in identity[0]]
             for mutate in mutations:
                 mutation[:] = [mutate]
                 assert not verify_certificate(cert, points), (cert, mutate)
@@ -575,16 +577,6 @@ class TestCompiledIdentity:
 
 
 class TestIntegerRelations:
-    def test_gate_minors_are_the_rational_gate_points(self):
-        for k, n in ((2, 4), (3, 6)):
-            rng = random.Random(certs._GATE_SEED)
-            matrices = [
-                ExactMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)], QQ)
-                for _ in range(certs._GATE_SAMPLES)
-            ]
-            rational = [maximal_minors(m) for m in matrices]
-            assert [list(p.values) for p in rational] == [list(x) for x in certs._gate_minors(k, n)]
-
     @pytest.mark.parametrize("k,n,empty", [(1, 3, 6), (2, 4, 24), (3, 6, 180)])
     def test_triples_are_the_relations_empty_ones_included(self, k, n, empty):
         table, compiled = relation_table(k, n), compiled_relations(k, n)
@@ -620,6 +612,88 @@ class TestIntegerRelations:
             for cache in caches:
                 cache.cache_clear()
         assert len(relation_table(2, 4)) > 0
+
+
+class TestExactGate:
+    """The gate checks each relation as a polynomial on the identity chart."""
+
+    @staticmethod
+    def substitute(minor, values):
+        """A ``_chart_minors`` entry (int or polynomial) at the variable values."""
+        if isinstance(minor, int):
+            return minor
+        total = 0
+        for mono, c in minor.items():
+            for var in mono:
+                c *= values[var]
+            total += c
+        return total
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (4, 7)])
+    def test_chart_minors_agree_with_the_numeric_chart(self, k, n, leibniz):
+        rng = random.Random(f"chart:{k}:{n}")
+        for _ in range(3):
+            values = {(r, c): rng.randint(-9, 9) for r in range(k) for c in range(n - k)}
+            rows = [[int(j == r) for j in range(k)] + [values[r, c] for c in range(n - k)]
+                    for r in range(k)]
+            got = [self.substitute(m, values) for m in certs._chart_minors(k, n)]
+            assert got == certs._minors(rows, n)
+            assert got == [leibniz(rows, [j - 1 for j in s]) for s in enumerate_subsets(k, n)]
+
+    def test_one_flipped_sign_stops_the_build(self, monkeypatch):
+        # an exchange the recursion of this S(3,6) certificate uses
+        beta, gamma, alpha = ks((1, 2, 5), 6), ks((3, 4, 6), 6), ks((3, 4, 5), 6)
+        used = []
+        exchange_terms = certs._exchange_terms
+
+        def recording(*key):
+            used.append(key)
+            return exchange_terms(*key)
+
+        def flipping(*key):
+            terms = exchange_terms(*key)
+            if key == flipped:
+                sign, a, o = terms[0]
+                terms[0] = (-sign, a, o)
+            return terms
+
+        caches = (certs._checked_exchange, certs._cofactor, certs.relation_table)
+        try:
+            for cache in caches:
+                cache.cache_clear()
+            monkeypatch.setattr(certs, "_exchange_terms", recording)
+            principal_certificate(beta, gamma, 2, alpha)
+            flipped = next(key for key in used if exchange_terms(*key))
+            monkeypatch.setattr(certs, "_exchange_terms", flipping)
+            for cache in caches:
+                cache.cache_clear()
+            with pytest.raises(RuntimeError, match="sign convention"):
+                relation_table(3, 6)
+            for cache in caches:
+                cache.cache_clear()
+            with pytest.raises(RuntimeError, match="sign convention"):
+                principal_certificate(beta, gamma, 2, alpha)
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+        assert len(relation_table(3, 6)) == 600
+
+    def test_gate_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate drew a random number")
+
+        caches = [f for mod in (certs, matrices, subsets) for f in vars(mod).values()
+                  if hasattr(f, "cache_clear")]
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(random, "Random", refuse)
+        try:
+            assert sum(len(relation_table(k, n)) for k in range(1, 4) for n in range(k, 7)) == 1264
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestStratumVectors:

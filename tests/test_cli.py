@@ -331,6 +331,20 @@ class TestVerifyAll:
         code, _, err = run_cli(capsys, "verify-all", "--config", str(cfg))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("source", ["file", "env", "flag"])
+    def test_repeated_prime_exits_2(self, capsys, tmp_path, monkeypatch, source):
+        # 2,2 would run every GF(2) check twice and report twice the counts
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("primes = 2,2\n" if source == "file" else "primes = 2\n")
+        if source == "env":
+            monkeypatch.setenv("PLUCKER_PRIMES", "2,2")
+        argv = ["verify-all", "--config", str(cfg), "--report", str(tmp_path / "r.json")]
+        argv += ["--q", "2,2"] if source == "flag" else []
+        code, out, err = run_cli(capsys, *argv, "--only", "Cor5-unit")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "primes must be nonempty and distinct, got (2, 2)" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_utf8_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "utf16.cfg"
         cfg.write_bytes(b"\xff\xfes\x00e\x00e\x00d\x00")
