@@ -1,6 +1,6 @@
-"""Claim-level checks of ``Lem4-certificates`` and ``Cor5-unit``: a corrupted
-certificate must fail the claim, and the claims read int vectors, not
-``PluckerVector``s."""
+"""Claim-level checks: a corrupted certificate must fail ``Lem4-certificates``
+or ``Cor5-unit``, those claims read int vectors, not ``PluckerVector``s, and
+the runner's reports repeat, keep their order and apply the skip rule."""
 
 import dataclasses
 
@@ -61,3 +61,37 @@ def test_claims_read_int_vectors_only(claim, monkeypatch):
     monkeypatch.setattr("plucker.matrices.maximal_minors", refuse)
     report = claims.run_claim(claim, CFG)
     assert report.verdict == reports.PASS and report.params["checks"] > 0
+
+
+def test_reports_repeat_apart_from_timings():
+    def drop_seconds(report):
+        return [{**c.to_dict(), "seconds": None} for c in report.claims]
+
+    assert drop_seconds(claims.run_all(CFG)) == drop_seconds(claims.run_all(CFG))
+
+
+def test_claim_ids_are_the_nine_claims_in_order():
+    assert claims.CLAIM_IDS == (
+        "Eq1-relations",
+        "Thm3-roundtrip",
+        "Thm6-positroidset",
+        "Lem4-certificates",
+        "Cor5-unit",
+        "Thm7-divisor",
+        "S7-complement",
+        "S7-shifted-schubert",
+        "W-count",
+    )
+
+
+@pytest.mark.parametrize("claim", ["Thm7-divisor", "W-count"])
+def test_a_claim_with_no_check_is_skipped(claim):
+    report = claims.run_claim(claim, SweepConfig(budget=1).validate())
+    assert report.verdict == reports.SKIP and report.params["checks"] == 0
+    assert report.witness is None and report.params["notes"]
+
+
+def test_roundtrip_notes_each_small_field_left_out_of_primes():
+    report = claims.claim_thm3_roundtrip(dataclasses.replace(CFG, primes=(3, 5)).validate())
+    assert report.verdict == reports.PASS
+    assert [n for n in report.params["notes"] if "GF(" in n] == ["S(2,4) over GF(2) skipped: 2 not in primes"]
