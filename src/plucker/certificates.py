@@ -54,6 +54,7 @@ from .errors import EvaluationError, ParameterError, ParseError
 from .matrices import PluckerVector, _minors, _subset_positions
 from .subsets import (
     KSubset,
+    _window,
     avoids_window,
     delta,
     enumerate_subsets,
@@ -467,11 +468,15 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
     )
 
 
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}  # one shared tuple per (position, power)
+
+
 def _clear(sides, pos: dict):
     """The identity  sum of c * monomial = 0  over the (int c, symbols) ``sides``,
     times D, the product of the inverted coordinates, each to its largest
     inverse power.  Returns (inverted, terms): the lex positions (by ``pos``)
-    inverted, and one (c, ((position, power >= 1), ...)) term per side."""
+    inverted, and one (c, ((position, power >= 1), ...)) term per side, its
+    pairs shared through ``_PAIRS``."""
     inverse: dict[int, int] = {}
     for _, symbols in sides:
         for s in symbols:
@@ -484,7 +489,7 @@ def _clear(sides, pos: dict):
         for s in symbols:
             p = pos[s.index.elements]
             powers[p] = powers.get(p, 0) + s.power
-        terms.append((c, tuple((p, e) for p, e in powers.items() if e)))
+        terms.append((c, tuple(_PAIRS.setdefault(pe, pe) for pe in powers.items() if pe[1])))
     return tuple(inverse), tuple(terms)
 
 
@@ -669,7 +674,8 @@ def parse_certificate(text: str) -> Certificate:
     t = field(5, "t", _integer)
     target = field(6, "target", _k_subset, k, n)
     pivot = field(7, "pivot", _k_subset, k, n)
-    expected = _at(lines[5][0], None, delta, beta, gamma, t)
+    _at(lines[5][0], None, _window, beta, gamma, t)  # t in 1..k-1, as p_set needs
+    expected = delta(beta, gamma, t)
     if pivot != expected:
         message = f"pivot {pivot} is not delta(beta, gamma, t) = {expected}"
         raise ParseError(message, line=lines[7][0])

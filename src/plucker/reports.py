@@ -7,13 +7,12 @@ from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
-FLAG = "flag"
 SKIP = "skip"
 
 
 @dataclass
 class ClaimReport:
-    """Outcome of one verification claim (or one swept case of it)."""
+    """Outcome of one verification claim."""
 
     claim: str
     params: dict

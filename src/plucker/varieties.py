@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
-from . import reports
 from .errors import BudgetError, ParameterError
 from .fields import PrimeField
 from .matrices import ExactMatrix, PluckerVector, YShape, _expansion, _minors, _subset_positions
-from .reports import ClaimReport
 from .subsets import (
     KSubset,
     SubsetFamily,
@@ -164,19 +162,15 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
     return tuple(points)
 
 
-@lru_cache(maxsize=None)
-def _grassmannian_cached(k: int, n: int, q: int) -> tuple[GrPoint, ...]:
-    points = tuple(itertools.chain.from_iterable(_cell(k, n, q, s) for s in enumerate_subsets(k, n)))
-    assert len(points) == gaussian_binomial(n, k, q)
-    return points
-
-
 def enumerate_grassmannian(
     k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[GrPoint, ...]:
-    """One echelon representative per k-space of GF(q)^n, guarded by ``budget``."""
+    """One echelon representative per k-space of GF(q)^n, guarded by ``budget``:
+    the cached Schubert cells, chained in lex order of their pivot sets."""
     _check_budget(k, n, q, budget)
-    return _grassmannian_cached(k, n, q)
+    points = tuple(itertools.chain.from_iterable(_cell(k, n, q, s) for s in enumerate_subsets(k, n)))
+    assert len(points) == gaussian_binomial(n, k, q)
+    return points
 
 
 def _check_budget(k: int, n: int, q: int, budget: int) -> None:
@@ -203,8 +197,9 @@ def candidate_points(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) ->
 
 def richardson_buckets(
     k: int, n: int, q: int, budget: int = DEFAULT_BUDGET
-) -> dict[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
-    """Points grouped by (componentwise min, max) of their nonzero minors.
+) -> Mapping[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
+    """Points grouped by (componentwise min, max) of their nonzero minors,
+    as a read-only view of the cached grouping.
 
     The two extremes are always attained inside the support, so the key
     is the unique comparable pair whose open interval stratum contains
@@ -215,7 +210,7 @@ def richardson_buckets(
 
 
 @lru_cache(maxsize=None)
-def _buckets(k: int, n: int, q: int) -> dict[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
+def _buckets(k: int, n: int, q: int) -> Mapping[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
     subsets = enumerate_subsets(k, n)
     by_elements = {s.elements: s for s in subsets}
     his: dict[int, KSubset] = {}
@@ -229,13 +224,13 @@ def _buckets(k: int, n: int, q: int) -> dict[tuple[KSubset, KSubset], tuple[GrPo
                 hi = his[point.support] = by_elements[tuple(map(max, zip(*support)))]
                 assert hi.elements in support, "support lost its maximum"
             buckets.setdefault((lo, hi), []).append(point)
-    return {key: tuple(pts) for key, pts in buckets.items()}
+    return MappingProxyType({key: tuple(pts) for key, pts in buckets.items()})
 
 
 @lru_cache(maxsize=None)
 def _support_reps(k: int, n: int, q: int) -> dict[int, GrPoint]:
     """One point per support, the last enumerated; check the budget first."""
-    return {p.support: p for p in _grassmannian_cached(k, n, q)}
+    return {p.support: p for s in enumerate_subsets(k, n) for p in _cell(k, n, q, s)}
 
 
 def membership(point: GrPoint, spec: VarietySpec) -> bool:
@@ -290,26 +285,22 @@ def count_points(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) -> int
     return sum(1 for p in pts if membership(p, spec))
 
 
-def _report(claim: str, params: dict, verdict: str, witness: str | None, started: float) -> ClaimReport:
-    return ClaimReport(claim, params, verdict, witness, time.monotonic() - started)
-
-
 def verify_positroid_divisor(
     beta: KSubset,
     gamma: KSubset,
     t: int,
     q: int,
     budget: int = DEFAULT_BUDGET,
-) -> ClaimReport:
+    notes: list[str] | None = None,
+) -> str | None:
     """Check: the pivot zero locus inside the open stratum equals the
-    window-family variety intersected with the open stratum.
+    window-family variety intersected with the open stratum.  None when
+    it holds, else the failure text with its case.
 
-    Both sides are computed from independent constraint sets.  If the
-    locus has no points for any tried prime the report is flagged, not
-    failed.
+    Both sides are computed from independent constraint sets.  Given
+    ``notes``, a locus with no GF(q) point is looked for over the primes of
+    ``_DIVISOR_PRIMES``, and a "no points found" line is added if none has one.
     """
-    started = time.monotonic()
-    params = {"beta": str(beta), "gamma": str(gamma), "t": t, "q": q}
     family = p_set(beta, gamma, t)
     if not len(family):
         raise ParameterError("window family is empty; use the unit certificate check")
@@ -319,88 +310,73 @@ def verify_positroid_divisor(
     # Both sides are predicates on a point's support, so the two point sets
     # are equal exactly when their sets of supports are; one point stands
     # for each distinct support.
-    enumerate_grassmannian(beta.k, beta.n, q, budget)
+    _check_budget(beta.k, beta.n, q, budget)
     reps = _support_reps(beta.k, beta.n, q)
     lhs = {s for s in reps if div_spec.admits(s)}
     rhs = {s for s in reps if open_spec.admits(s) and pos_spec.admits(s)}
     if lhs != rhs:
-        witness = f"set mismatch at {reps[min(lhs ^ rhs)]!r}"
-        return _report("Thm7-divisor", params, reports.FAIL, witness, started)
-    if lhs:
-        return _report("Thm7-divisor", params, reports.PASS, None, started)
+        return f"set mismatch at {reps[min(lhs ^ rhs)]!r} in ({beta},{gamma},t={t},q={q})"
+    if lhs or notes is None:
+        return None
     for q2 in _DIVISOR_PRIMES:
         try:
             points = candidate_points(div_spec, q2, budget)
         except BudgetError:
             continue
         if any(div_spec.admits(p.support) for p in points):
-            witness = f"nonempty over GF({q2})"
-            return _report("Thm7-divisor", params, reports.PASS, witness, started)
-    witness = f"no rational points over GF(q), q in {_DIVISOR_PRIMES}"
-    return _report("Thm7-divisor", params, reports.FLAG, witness, started)
+            return None
+    notes.append(f"no points found: {dict(beta=str(beta), gamma=str(gamma), t=t, q=q)}")
+    return None
 
 
 def verify_complement(
     beta: KSubset, gamma: KSubset, q: int, budget: int = DEFAULT_BUDGET
-) -> ClaimReport:
+) -> str | None:
     """Check: the fully-inverted stratum equals the closed interval variety
-    minus the union of the boundary and window positroid varieties."""
-    started = time.monotonic()
-    params = {"beta": str(beta), "gamma": str(gamma), "q": q}
+    minus the union of the boundary and window positroid varieties.  None
+    when it holds, else the failure text with its case."""
     closed_spec = richardson_spec(beta, gamma)
     inverted_spec = w_spec(beta, gamma)
     removed_specs = [positroid_spec(f) for f in itertools.chain(*sigma_sets(beta, gamma))]
-    enumerate_grassmannian(beta.k, beta.n, q, budget)
+    _check_budget(beta.k, beta.n, q, budget)
     reps = _support_reps(beta.k, beta.n, q)
     closed = [s for s in reps if closed_spec.admits(s)]
     lhs = {s for s in closed if inverted_spec.admits(s)}
     rhs = {s for s in closed if not any(spec.admits(s) for spec in removed_specs)}
     if lhs != rhs:
-        witness = f"set mismatch at {reps[min(lhs ^ rhs)]!r}"
-        return _report("S7-complement", params, reports.FAIL, witness, started)
-    return _report("S7-complement", params, reports.PASS, None, started)
+        return f"set mismatch at {reps[min(lhs ^ rhs)]!r} in ({beta},{gamma},q={q})"
+    return None
 
 
-def verify_shifted_schubert(beta: KSubset, gamma: KSubset, t: int) -> ClaimReport:
-    """Purely combinatorial: the window family over all of S(k, n) is the
-    cyclic shift, by gamma(t), of the up-set of the one-row subset; and
-    restricting to [beta, gamma] recovers the interval window family."""
-    started = time.monotonic()
-    params = {"beta": str(beta), "gamma": str(gamma), "t": t}
-    k, n = beta.k, beta.n
-    eps = epsilon(beta, gamma, t)
-    upset = [a for a in enumerate_subsets(k, n) if subset_leq(eps, a)]
-    shifted = SubsetFamily((cyclic_shift(a, gamma(t)) for a in upset), k, n)
+def verify_shifted_schubert(beta: KSubset, gamma: KSubset, t: int) -> str | None:
+    """Purely combinatorial: restricting the window family over all of
+    S(k, n) to [beta, gamma] recovers the interval window family; and, when
+    that is nonempty, the full family is the cyclic shift, by gamma(t), of
+    the up-set of the one-row subset.  None when both hold, else the
+    failure text with its case."""
     full = i_set(beta, gamma, t)
-    if shifted != full:
-        return _report(
-            "S7-shifted-schubert",
-            params,
-            reports.FAIL,
-            f"shifted up-set of {eps} differs from the window family",
-            started,
-        )
-    if p_set(beta, gamma, t) != (full & interval(beta, gamma)):
-        return _report(
-            "S7-shifted-schubert", params, reports.FAIL, "interval restriction failed", started
-        )
-    return _report("S7-shifted-schubert", params, reports.PASS, None, started)
+    family = p_set(beta, gamma, t)
+    if len(family):
+        eps = epsilon(beta, gamma, t)
+        upset = [a for a in enumerate_subsets(beta.k, beta.n) if subset_leq(eps, a)]
+        if SubsetFamily((cyclic_shift(a, gamma(t)) for a in upset), beta.k, beta.n) != full:
+            return f"shifted up-set of {eps} differs from the window family at ({beta},{gamma},t={t})"
+    if family != full & interval(beta, gamma):
+        return f"restriction identity failed at ({beta},{gamma},t={t})"
+    return None
 
 
 def verify_w_count(
     beta: KSubset, gamma: KSubset, q: int, budget: int = DEFAULT_BUDGET
-) -> ClaimReport:
-    """Enumerated size of the fully-inverted stratum vs q^stars * (q-1)^units."""
-    started = time.monotonic()
-    params = {"beta": str(beta), "gamma": str(gamma), "q": q}
+) -> str | None:
+    """Enumerated size of the fully-inverted stratum vs q^stars * (q-1)^units:
+    None when they agree, else the failure text with its case."""
     shape = YShape(beta, gamma)
     expected = q**shape.star_count * (q - 1) ** shape.unit_count
     actual = count_points(w_spec(beta, gamma), q, budget)
     if actual != expected:
-        return _report(
-            "W-count", params, reports.FAIL, f"enumerated {actual}, formula {expected}", started
-        )
-    return _report("W-count", params, reports.PASS, None, started)
+        return f"enumerated {actual}, formula {expected} at ({beta},{gamma},q={q})"
+    return None
 
 
 def interpolate_count_polynomial(

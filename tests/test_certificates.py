@@ -371,6 +371,17 @@ class TestSerialization:
                 parse_certificate(text)
             assert err.value.line == line, (text, err.value)
 
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_cut_outside_1_to_k_minus_1_rejected(self, t):
+        # delta(beta, gamma, t) is gamma at t = 0 and beta at t = k, so each
+        # pivot line agrees with delta; the t line itself must be refused
+        b, g = ks((1, 2), 4), ks((2, 4), 4)
+        good = format_certificate(principal_certificate(b, g, 1, ks((1, 3), 4)))
+        text = good.replace("t 1", f"t {t}").replace("pivot {1,4}", f"pivot {delta(b, g, t)}")
+        with pytest.raises(ParseError, match=rf"t={t} out of range 1\.\.1") as err:
+            parse_certificate(text)
+        assert err.value.line == 6
+
     def test_non_integer_coefficient_rejected(self):
         good = format_certificate(
             principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))

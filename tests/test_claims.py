@@ -1,13 +1,15 @@
 """Claim-level checks: a corrupted certificate must fail ``Lem4-certificates``
 or ``Cor5-unit``, those claims read int vectors, not ``PluckerVector``s, and
-the runner's reports repeat, keep their order and apply the skip rule."""
+the runner's reports and seeded draws repeat, its claims keep their order and
+it applies the skip rule."""
 
 import dataclasses
 
 import pytest
 
 import plucker.claims as claims
-from plucker import LaurentExpression, SweepConfig, reports
+import plucker.varieties as varieties
+from plucker import LaurentExpression, SweepConfig, VarietySpec, enumerate_subsets, reports
 from plucker.varieties import GrPoint
 
 CFG = SweepConfig(k_range=(2, 3), n_range=(4, 5), rational_samples=5).validate()
@@ -82,6 +84,40 @@ def test_claim_ids_are_the_nine_claims_in_order():
         "S7-shifted-schubert",
         "W-count",
     )
+
+
+def test_seeded_draws_repeat_and_follow_the_seed(monkeypatch):
+    # a passing report does not depend on the drawn points, so record them
+    build = claims.sample_y
+
+    def draws(seed):
+        drawn = []
+
+        def recorded(beta, gamma, field, rng):
+            m = build(beta, gamma, field, rng)
+            drawn.append((beta, gamma, m.rows))
+            return m
+
+        monkeypatch.setattr(claims, "sample_y", recorded)
+        report = claims.run_all(dataclasses.replace(CFG, seed=seed), ("Thm3-roundtrip", "Lem4-certificates"))
+        assert report.overall == reports.PASS
+        return drawn
+
+    first = draws(1)
+    assert first and first == draws(1)
+    assert first != draws(2)
+
+
+def test_thm7_notes_each_empty_divisor_and_counts_them(monkeypatch):
+    # a locus that admits no point: every divisor is empty over every prime tried
+    nowhere = VarietySpec(2, 4, frozenset(enumerate_subsets(2, 4)), frozenset())
+    monkeypatch.setattr(varieties, "divisor_spec", lambda *args: nowhere)
+    monkeypatch.setattr(varieties, "positroid_spec", lambda family: nowhere)
+    report = claims.claim_thm7_divisor(SweepConfig(k_range=(2, 2), n_range=(4, 4), primes=(3,)).validate())
+    *cases, summary = report.params["notes"]
+    assert report.verdict == reports.PASS and report.params["checks"] == len(cases) > 0
+    assert cases[0] == "no points found: {'beta': '{1,2}', 'gamma': '{2,3}', 't': 1, 'q': 3}"
+    assert summary == f"{len(cases)} case(s) flagged for emptiness over all tried primes"
 
 
 @pytest.mark.parametrize("claim", ["Thm7-divisor", "W-count"])

@@ -20,6 +20,7 @@ from plucker import (
     interval,
     iter_comparable_pairs,
     membership,
+    open_richardson_points,
     p_set,
     positroid_spec,
     richardson_buckets,
@@ -117,7 +118,7 @@ class TestLazyPoints:
     def fresh(k, n, q):
         import plucker.varieties as varieties
 
-        for cache in (varieties._cell, varieties._grassmannian_cached, varieties._buckets, varieties._support_reps):
+        for cache in (varieties._cell, varieties._buckets, varieties._support_reps):
             cache.cache_clear()
         return enumerate_grassmannian(k, n, q)
 
@@ -176,6 +177,18 @@ class TestBuckets:
                 if membership(point, richardson_spec(b, g, open_=True))
             ]
             assert len(homes) == 1
+
+    def test_buckets_are_a_read_only_view_of_the_cache(self):
+        buckets = richardson_buckets(2, 4, 3)
+        key = (ks((1, 2), 4), ks((3, 4), 4))
+        with pytest.raises(AttributeError):
+            buckets.pop(key)
+        with pytest.raises(TypeError):
+            buckets[key] = ()
+        with pytest.raises(TypeError):
+            del buckets[key]
+        assert richardson_buckets(2, 4, 3) is buckets
+        assert len(open_richardson_points(*key, 3)) == 48
 
     def test_point_schubert_cell_is_pivot_set(self):
         for point in enumerate_grassmannian(2, 4, 2):
@@ -283,14 +296,12 @@ class TestSetCheckFailures:
         b, g = ks((1, 2), 4), ks((3, 4), 4)
         monkeypatch.setattr(varieties, "positroid_spec", lambda family: richardson_spec(b, g))
         for rep in (verify_positroid_divisor(b, g, 1, 3), verify_complement(b, g, 3)):
-            assert rep.verdict == "fail"
-            assert rep.witness.startswith("set mismatch at GrPoint(")
+            assert rep.startswith("set mismatch at GrPoint(")
 
 
 class TestDivisorIdentity:
     def test_big_cell_example(self):
-        rep = verify_positroid_divisor(ks((1, 2), 4), ks((3, 4), 4), 1, 3)
-        assert rep.verdict == "pass"
+        assert verify_positroid_divisor(ks((1, 2), 4), ks((3, 4), 4), 1, 3) is None
 
     def test_empty_window_rejected(self):
         with pytest.raises(ParameterError):
@@ -301,7 +312,7 @@ class TestDivisorIdentity:
             for b, g in iter_comparable_pairs(2, 4):
                 if len(p_set(b, g, 1)):
                     rep = verify_positroid_divisor(b, g, 1, q)
-                    assert rep.verdict in ("pass", "flag"), rep
+                    assert rep is None, rep
 
     def test_mutated_pivot_detected(self):
         # replacing the pivot with a wrong subset must break set equality
@@ -317,28 +328,30 @@ class TestDivisorIdentity:
 class TestComplement:
     def test_equal_endpoints(self):
         b = ks((1, 3), 4)
-        rep = verify_complement(b, b, 3)
-        assert rep.verdict == "pass"
+        assert verify_complement(b, b, 3) is None
 
     @pytest.mark.parametrize("q", (2, 3))
     def test_big_cell(self, q):
-        rep = verify_complement(ks((1, 2), 4), ks((3, 4), 4), q)
-        assert rep.verdict == "pass"
+        assert verify_complement(ks((1, 2), 4), ks((3, 4), 4), q) is None
 
     def test_adjacent_pair(self):
-        rep = verify_complement(ks((1, 2), 4), ks((1, 3), 4), 2)
-        assert rep.verdict == "pass"
+        assert verify_complement(ks((1, 2), 4), ks((1, 3), 4), 2) is None
 
 
 class TestShiftedSchubert:
     def test_big_cell_fixes_direction(self):
-        rep = verify_shifted_schubert(ks((1, 2), 4), ks((3, 4), 4), 1)
-        assert rep.verdict == "pass"
+        assert verify_shifted_schubert(ks((1, 2), 4), ks((3, 4), 4), 1) is None
 
     def test_sweep_25(self):
         for b, g in iter_comparable_pairs(2, 5):
             if len(p_set(b, g, 1)):
-                assert verify_shifted_schubert(b, g, 1).verdict == "pass"
+                assert verify_shifted_schubert(b, g, 1) is None
+
+    def test_empty_window_families_check_the_restriction(self):
+        empty = [(b, g) for b, g in iter_comparable_pairs(2, 5) if not len(p_set(b, g, 1))]
+        assert empty
+        for b, g in empty:
+            assert verify_shifted_schubert(b, g, 1) is None
 
     def test_wrong_shift_direction_would_fail(self):
         # shifting the other way must not reproduce the window family
@@ -361,7 +374,7 @@ class TestCounts:
     def test_w_count_reports(self):
         for q in (2, 3, 5):
             for b, g in iter_comparable_pairs(2, 4):
-                assert verify_w_count(b, g, q).verdict == "pass"
+                assert verify_w_count(b, g, q) is None
 
     def test_rank_difference_equals_shape_dimension(self):
         for k, n in ((2, 4), (2, 5), (3, 6)):
