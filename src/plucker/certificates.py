@@ -675,7 +675,7 @@ def parse_certificate(text: str) -> Certificate:
     target = field(6, "target", _k_subset, k, n)
     pivot = field(7, "pivot", _k_subset, k, n)
     _at(lines[5][0], None, _window, beta, gamma, t)  # t in 1..k-1, as p_set needs
-    expected = delta(beta, gamma, t)
+    expected = _at(lines[5][0], None, delta, beta, gamma, t)
     if pivot != expected:
         message = f"pivot {pivot} is not delta(beta, gamma, t) = {expected}"
         raise ParseError(message, line=lines[7][0])

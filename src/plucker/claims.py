@@ -239,6 +239,7 @@ def claim_cor5_unit(cfg, rng, notes):
 def claim_thm7_divisor(cfg, rng, notes):
     """Set equality of the pivot zero locus and the window positroid locus
     inside each open stratum, for every nonempty window family."""
+    flagged = 0
     for k, n in cfg.grassmannians():
         if k < 2:
             continue
@@ -247,8 +248,9 @@ def claim_thm7_divisor(cfg, rng, notes):
                 if not len(p_set(beta, gamma, t)):
                     continue
                 for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes):
+                    before = len(notes)
                     yield verify_positroid_divisor(beta, gamma, t, q, cfg.budget, notes)
-    flagged = sum(note.startswith("no points found: ") for note in notes)
+                    flagged += len(notes) - before
     if flagged:
         notes.append(f"{flagged} case(s) flagged for emptiness over all tried primes")
 

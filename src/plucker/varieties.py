@@ -41,7 +41,7 @@ from .subsets import (
 )
 
 DEFAULT_BUDGET = 10**6
-_DIVISOR_PRIMES = (2, 3, 5, 7)  # tried by Thm7 when the divisor has no GF(q) point
+_DIVISOR_PRIMES = (2, 3, 5, 7)  # tried when a divisor has no GF(q) point
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -297,9 +297,9 @@ def verify_positroid_divisor(
     window-family variety intersected with the open stratum.  None when
     it holds, else the failure text with its case.
 
-    Both sides are computed from independent constraint sets.  Given
-    ``notes``, a locus with no GF(q) point is looked for over the primes of
-    ``_DIVISOR_PRIMES``, and a "no points found" line is added if none has one.
+    Both sides are computed from independent constraint sets.  A locus with
+    no GF(q) point is looked for over the primes of ``_DIVISOR_PRIMES``; if
+    none has one, a "no points found" line is added to ``notes``.
     """
     family = p_set(beta, gamma, t)
     if not len(family):
@@ -316,7 +316,7 @@ def verify_positroid_divisor(
     rhs = {s for s in reps if open_spec.admits(s) and pos_spec.admits(s)}
     if lhs != rhs:
         return f"set mismatch at {reps[min(lhs ^ rhs)]!r} in ({beta},{gamma},t={t},q={q})"
-    if lhs or notes is None:
+    if lhs:
         return None
     for q2 in _DIVISOR_PRIMES:
         try:
@@ -325,7 +325,8 @@ def verify_positroid_divisor(
             continue
         if any(div_spec.admits(p.support) for p in points):
             return None
-    notes.append(f"no points found: {dict(beta=str(beta), gamma=str(gamma), t=t, q=q)}")
+    if notes is not None:
+        notes.append(f"no points found: {dict(beta=str(beta), gamma=str(gamma), t=t, q=q)}")
     return None
 
 

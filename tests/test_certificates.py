@@ -355,7 +355,9 @@ class TestSerialization:
             parse_certificate(good.replace("cofactor 1", "cofactor 2"))
         unit = format_certificate(unit_certificate(ks((1, 4), 5), ks((2, 5), 5), 1))
         # (text, physical line of the fault): non-integer numbers, a k line
-        # that disagrees with beta, a pivot that is not delta(beta, gamma, t)
+        # that disagrees with beta, a pivot that is not delta(beta, gamma, t),
+        # and beta not below gamma
+        incomparable = good.replace("beta {1,2}", "beta {2,4}").replace("gamma {2,4}", "gamma {1,2}")
         cases = [
             (good.replace("n 4", "n four"), 2),
             (good.replace("k 2", "k 2.0"), 3),
@@ -365,6 +367,7 @@ class TestSerialization:
             (good.replace("k 2", "k 3"), 4),
             (good.replace("pivot {1,4}", "pivot {2,4}"), 8),
             (good.replace("\nt 1", "\n\n\nt -1"), 8),
+            (incomparable, 6),
         ]
         for text, line in cases:
             with pytest.raises(ParseError) as err:
