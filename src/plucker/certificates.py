@@ -629,6 +629,8 @@ def _integer(text: str, signed: bool = False) -> int:
 
 def _k_subset(text: str, k: int, n: int) -> KSubset:
     subset = parse_subset(text, n)
+    if str(subset) != text:  # only the spelling format_certificate writes round-trips
+        raise ParseError(f"subset {text!r} is not written as {subset}")
     if subset.k != k:
         raise ParseError(f"{subset} does not have k = {k} elements")
     return subset

@@ -46,8 +46,8 @@ _DIVISOR_PRIMES = (2, 3, 5, 7)  # tried when a divisor has no GF(q) point
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n."""
-    if not 0 <= k <= n:
-        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not 0 <= k <= n or q < 2:
+        raise ParameterError(f"need 0 <= k <= n and q >= 2, got k={k}, n={n}, q={q}")
     num = den = 1
     for i in range(k):
         num *= q ** (n - i) - 1
@@ -227,12 +227,6 @@ def _buckets(k: int, n: int, q: int) -> Mapping[tuple[KSubset, KSubset], tuple[G
     return MappingProxyType({key: tuple(pts) for key, pts in buckets.items()})
 
 
-@lru_cache(maxsize=None)
-def _support_reps(k: int, n: int, q: int) -> dict[int, GrPoint]:
-    """One point per support, the last enumerated; check the budget first."""
-    return {p.support: p for s in enumerate_subsets(k, n) for p in _cell(k, n, q, s)}
-
-
 def membership(point: GrPoint, spec: VarietySpec) -> bool:
     """All must-vanish coordinates zero and all must-not-vanish nonzero."""
     if (len(point.rows), len(point.rows[0])) != (spec.k, spec.n):
@@ -274,9 +268,11 @@ def open_richardson_points(
     return richardson_buckets(beta.k, beta.n, q, budget).get((beta, gamma), ())
 
 
-def closed_richardson_points(beta: KSubset, gamma: KSubset, q: int) -> tuple[GrPoint, ...]:
+def closed_richardson_points(
+    beta: KSubset, gamma: KSubset, q: int, budget: int = DEFAULT_BUDGET
+) -> tuple[GrPoint, ...]:
     spec = richardson_spec(beta, gamma)
-    return tuple(p for p in candidate_points(spec, q) if spec.admits(p.support))
+    return tuple(p for p in candidate_points(spec, q, budget) if spec.admits(p.support))
 
 
 def count_points(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -297,9 +293,12 @@ def verify_positroid_divisor(
     window-family variety intersected with the open stratum.  None when
     it holds, else the failure text with its case.
 
-    Both sides are computed from independent constraint sets.  A locus with
-    no GF(q) point is looked for over the primes of ``_DIVISOR_PRIMES``; if
-    none has one, a "no points found" line is added to ``notes``.
+    Both sides are computed from independent constraint sets, over the open
+    stratum's points only.  That is exact: both specs invert beta and gamma and
+    kill every coordinate outside [beta, gamma], so each support they admit has
+    min beta and max gamma, the key of that stratum's bucket.  A locus with no
+    GF(q) point is looked for over the primes of ``_DIVISOR_PRIMES``; if none
+    has one, a "no points found" line is added to ``notes``.
     """
     family = p_set(beta, gamma, t)
     if not len(family):
@@ -307,11 +306,9 @@ def verify_positroid_divisor(
     open_spec = richardson_spec(beta, gamma, open_=True)
     pos_spec = positroid_spec(family)
     div_spec = divisor_spec(beta, gamma, t)
-    # Both sides are predicates on a point's support, so the two point sets
-    # are equal exactly when their sets of supports are; one point stands
-    # for each distinct support.
-    _check_budget(beta.k, beta.n, q, budget)
-    reps = _support_reps(beta.k, beta.n, q)
+    # Both sides are predicates on a point's support, so the point sets are equal
+    # exactly when their support sets are; the last point enumerated stands for each.
+    reps = {p.support: p for p in open_richardson_points(beta, gamma, q, budget)}
     lhs = {s for s in reps if div_spec.admits(s)}
     rhs = {s for s in reps if open_spec.admits(s) and pos_spec.admits(s)}
     if lhs != rhs:
@@ -336,14 +333,11 @@ def verify_complement(
     """Check: the fully-inverted stratum equals the closed interval variety
     minus the union of the boundary and window positroid varieties.  None
     when it holds, else the failure text with its case."""
-    closed_spec = richardson_spec(beta, gamma)
     inverted_spec = w_spec(beta, gamma)
     removed_specs = [positroid_spec(f) for f in itertools.chain(*sigma_sets(beta, gamma))]
-    _check_budget(beta.k, beta.n, q, budget)
-    reps = _support_reps(beta.k, beta.n, q)
-    closed = [s for s in reps if closed_spec.admits(s)]
-    lhs = {s for s in closed if inverted_spec.admits(s)}
-    rhs = {s for s in closed if not any(spec.admits(s) for spec in removed_specs)}
+    reps = {p.support: p for p in closed_richardson_points(beta, gamma, q, budget)}
+    lhs = {s for s in reps if inverted_spec.admits(s)}
+    rhs = {s for s in reps if not any(spec.admits(s) for spec in removed_specs)}
     if lhs != rhs:
         return f"set mismatch at {reps[min(lhs ^ rhs)]!r} in ({beta},{gamma},q={q})"
     return None
@@ -371,10 +365,13 @@ def verify_w_count(
     beta: KSubset, gamma: KSubset, q: int, budget: int = DEFAULT_BUDGET
 ) -> str | None:
     """Enumerated size of the fully-inverted stratum vs q^stars * (q-1)^units:
-    None when they agree, else the failure text with its case."""
+    None when they agree, else the failure text with its case.  It reads only
+    the open stratum: w_spec inverts delta(beta, gamma, 0) = gamma and
+    delta(beta, gamma, k) = beta."""
     shape = YShape(beta, gamma)
     expected = q**shape.star_count * (q - 1) ** shape.unit_count
-    actual = count_points(w_spec(beta, gamma), q, budget)
+    spec = w_spec(beta, gamma)
+    actual = sum(spec.admits(p.support) for p in open_richardson_points(beta, gamma, q, budget))
     if actual != expected:
         return f"enumerated {actual}, formula {expected} at ({beta},{gamma},q={q})"
     return None
@@ -395,7 +392,7 @@ def interpolate_count_polynomial(
         raise ParameterError("need at least two sample primes")
     if len(set(q_list)) != len(q_list):
         raise ParameterError("sample primes must be distinct")
-    counts = {q: count_points(spec, q, budget) for q in q_list}
+    counts = {q: sum(spec.admits(p.support) for p in candidate_points(spec, q, budget)) for q in q_list}
     xs = [Fraction(q) for q in q_list]
     ys = [Fraction(counts[q]) for q in q_list]
     coeffs = _lagrange(xs, ys)

@@ -420,6 +420,28 @@ class TestSerialization:
                 parse_certificate(text)
             assert err.value.line == line, (text, err.value)
 
+    def test_subsets_are_written_canonically(self):
+        # parse_subset accepts these spellings, which format_certificate would
+        # write differently
+        good = format_certificate(
+            principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
+        )
+        headers = [
+            ("beta {1,2}", "beta {+1,2}", 4),
+            ("beta {1,2}", "beta {1,\u0662}", 4),
+            ("beta {1,2}", "beta 1,2", 4),
+            ("beta {1,2}", "beta  {1,2}", 4),
+            ("target {1,3}", "target {3,1}", 7),
+        ]
+        for old, new, line in headers:
+            with pytest.raises(ParseError, match="is not written as") as err:
+                parse_certificate(good.replace(old, new))
+            assert (err.value.line, err.value.column) == (line, None), new
+        for term, column in (("1 {3,2} {2,4}^-1", 2), ("1 {2,3} {02,4}^-1", 3)):
+            with pytest.raises(ParseError, match="is not written as") as err:
+                parse_certificate(good.replace("\n1 {2,3} {2,4}^-1\n", f"\n{term}\n"))
+            assert (err.value.line, err.value.column) == (10, column), term
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_drawn_certificates_round_trip(self, data):

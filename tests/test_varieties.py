@@ -64,6 +64,12 @@ class TestGaussianBinomial:
         assert gaussian_binomial(4, 2, 3) == 130
         assert gaussian_binomial(6, 3, 2) == 1395
 
+    @pytest.mark.parametrize("q", [1, 0, -2])
+    def test_q_below_two_rejected(self, q):
+        # q = 1 used to divide by zero and q = 0 to count one subspace
+        with pytest.raises(ParameterError, match=rf"q >= 2, got k=2, n=4, q={q}$"):
+            gaussian_binomial(4, 2, q)
+
 
 class TestEnumeration:
     def test_projective_line(self):
@@ -118,7 +124,7 @@ class TestLazyPoints:
     def fresh(k, n, q):
         import plucker.varieties as varieties
 
-        for cache in (varieties._cell, varieties._buckets, varieties._support_reps):
+        for cache in (varieties._cell, varieties._buckets):
             cache.cache_clear()
         return enumerate_grassmannian(k, n, q)
 
@@ -270,18 +276,59 @@ class TestSupportBitmask:
             for p in points:
                 assert spec.admits(p.support) == frozenset_membership(p, spec), (spec, p)
 
-    def test_one_cached_representative_per_support_the_last_enumerated(self):
+    @pytest.mark.parametrize("k,n,q", [(2, 4, 3), (3, 5, 2)])
+    def test_checks_read_the_strata_they_test(self, k, n, q, monkeypatch):
+        # oracle: the whole Grassmannian, one point per support, the last enumerated
         import plucker.varieties as varieties
 
-        points = enumerate_grassmannian(2, 4, 3)
-        reps = varieties._support_reps(2, 4, 3)
-        assert reps is varieties._support_reps(2, 4, 3)
-        last = {p.support: i for i, p in enumerate(points)}
-        assert {s: points[i] for s, i in last.items()} == reps
-        assert all(reps[s] is points[i] for s, i in last.items())
-        # the checks that read the map still check the budget: 130 points
+        points = enumerate_grassmannian(k, n, q)
+        every = {p.support: p for p in points}
+        nowhere = VarietySpec(k, n, frozenset(enumerate_subsets(k, n)), frozenset())
+
+        def reps(spec, pts):
+            return {p.support: p for p in pts if spec.admits(p.support)}
+
+        def witness(lhs, rhs, case):
+            diff = {s for s in every if lhs(s)} ^ {s for s in every if rhs(s)}
+            return f"set mismatch at {every[min(diff)]!r} in {case}" if diff else None
+
+        for b, g in iter_comparable_pairs(k, n):
+            opened, closed, inverted = richardson_spec(b, g, open_=True), richardson_spec(b, g), w_spec(b, g)
+            stratum = {p.support for p in open_richardson_points(b, g, q)}
+            for spec in [opened] + [divisor_spec(b, g, t) for t in range(1, k) if len(p_set(b, g, t))]:
+                assert reps(spec, points).keys() <= stratum, (b, g, spec)
+            got, want = reps(closed, closed_richardson_points(b, g, q)), reps(closed, points)
+            assert got.keys() == want.keys() and all(got[s] is want[s] for s in want), (b, g)
+            shape = YShape(b, g)
+            assert count_points(inverted, q) == q**shape.star_count * (q - 1) ** shape.unit_count
+            assert verify_w_count(b, g, q) is None, (b, g)
+            # with every positroid spec replaced by the closed interval variety
+            # or by the empty locus, both checks must name the oracle's witness,
+            # which a check reading the wrong stratum would miss
+            removed = any(map(len, sigma_sets(b, g)))
+            for sub in (closed, nowhere):
+                monkeypatch.setattr(varieties, "positroid_spec", lambda family: sub)
+                for t in range(1, k):
+                    if len(p_set(b, g, t)):
+                        div = divisor_spec(b, g, t)
+                        rhs = lambda s: opened.admits(s) and sub.admits(s)
+                        want = witness(div.admits, rhs, f"({b},{g},t={t},q={q})")
+                        assert verify_positroid_divisor(b, g, t, q) == want, (b, g, t, sub)
+                lhs = lambda s: closed.admits(s) and inverted.admits(s)
+                rhs = lambda s: closed.admits(s) and not (removed and sub.admits(s))
+                assert verify_complement(b, g, q) == witness(lhs, rhs, f"({b},{g},q={q})"), (b, g, sub)
+            monkeypatch.undo()
+
+    def test_set_checks_check_the_budget(self):
+        # Gr(2,4) over GF(3) has 130 points
         b, g = ks((1, 2), 4), ks((3, 4), 4)
-        for check in (lambda: verify_positroid_divisor(b, g, 1, 3, 100), lambda: verify_complement(b, g, 3, 100)):
+        checks = (
+            lambda: verify_positroid_divisor(b, g, 1, 3, 100),
+            lambda: verify_complement(b, g, 3, 100),
+            lambda: verify_w_count(b, g, 3, 100),
+            lambda: closed_richardson_points(b, g, 3, 100),
+        )
+        for check in checks:
             with pytest.raises(BudgetError, match="130 points"):
                 check()
 
@@ -295,8 +342,9 @@ class TestSetCheckFailures:
 
         b, g = ks((1, 2), 4), ks((3, 4), 4)
         monkeypatch.setattr(varieties, "positroid_spec", lambda family: richardson_spec(b, g))
-        for rep in (verify_positroid_divisor(b, g, 1, 3), verify_complement(b, g, 3)):
-            assert rep.startswith("set mismatch at GrPoint(")
+        at = "set mismatch at GrPoint(ExactMatrix[1 0 2 0; 0 1 0 2]) in ({1,2},{3,4}"
+        assert verify_positroid_divisor(b, g, 1, 3) == at + ",t=1,q=3)"
+        assert verify_complement(b, g, 3) == at + ",q=3)"
 
 
 class TestDivisorIdentity:
