@@ -27,7 +27,7 @@ from .certificates import (
 from .config import SweepConfig
 from .errors import BudgetError, ParameterError
 from .fields import QQ, PrimeField
-from .matrices import enumerate_y, integer_minors, phi, psi, sample_y, w_membership
+from .matrices import YShape, enumerate_y, pair_minors, phi, psi, sample_y, sample_y_minors, w_membership
 from .permutations import verify_positroidset
 from .reports import ClaimReport, RunReport
 from .subsets import enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
@@ -106,7 +106,7 @@ def claim_relations(cfg, rng, notes):
             yield f"(k={k},n={n}): {exc}"
             continue
         samples = [
-            integer_minors([[QQ.random_element(rng) for _ in range(n)] for _ in range(k)], n)[0]
+            pair_minors([[QQ.random_pair(rng) for _ in range(n)] for _ in range(k)], n)[0]
             for _ in range(cfg.matrix_samples)
         ]
         for rel, terms in zip(table, compiled_relations(k, n)):
@@ -196,8 +196,8 @@ def claim_lem4_certificates(cfg, rng, notes):
         for beta, gamma in iter_comparable_pairs(k, n):
             groups = _open_residues(beta, gamma, cfg, notes)
             # int minors of banded matrices, which phi would not change (see certificates)
-            ys = (sample_y(beta, gamma, QQ, rng) for _ in range(cfg.rational_samples))
-            groups.append((0, [integer_minors(y.rows, n)[0] for y in ys]))
+            shape = YShape(beta, gamma)
+            groups.append((0, [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)]))
             for t in range(1, k):
                 for alpha in p_set_complement(beta, gamma, t):
                     try:

@@ -7,6 +7,7 @@ so matrix code is field-generic; small fields intern their elements.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -185,11 +186,14 @@ class Rationals:
     def __call__(self, value) -> Fraction:
         return Fraction(value)
 
+    def random_pair(self, rng: random.Random) -> tuple[int, int]:
+        """:meth:`random_element`'s draw as a reduced (numerator, denominator)."""
+        num, den = rng.randint(-self._NUM_BOUND, self._NUM_BOUND), rng.randint(1, self._DEN_BOUND)
+        g = math.gcd(num, den)
+        return num // g, den // g
+
     def random_element(self, rng: random.Random) -> Fraction:
-        return Fraction(
-            rng.randint(-self._NUM_BOUND, self._NUM_BOUND),
-            rng.randint(1, self._DEN_BOUND),
-        )
+        return Fraction(*self.random_pair(rng))
 
     def random_nonzero(self, rng: random.Random) -> Fraction:
         while True:

@@ -160,18 +160,23 @@ def _minors(rows, n: int) -> list:
     return minors
 
 
-def integer_minors(rows, n: int) -> tuple[list[int], int]:
-    """The maximal minors of rational (or int) ``rows`` of length n, computed
-    over int: each row is scaled by the lcm of its denominators.  Returns the
-    minors of the scaled rows and the product of the scales; dividing by it
-    gives the true minors, and without the division they are the same point
-    of the Grassmannian."""
+def pair_minors(rows, n: int) -> tuple[list[int], int]:
+    """The maximal minors of ``rows`` of length n, each entry a reduced
+    (numerator, denominator) pair, computed over int: each row is scaled by
+    the lcm of its denominators.  Returns the minors of the scaled rows and the
+    product of the scales; dividing by it gives the true minors, and without
+    the division they are the same point of the Grassmannian."""
     scaled, den = [], 1
     for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (scale // x.denominator) for x in row])
+        scale = math.lcm(*[d for _, d in row])
+        scaled.append([a * scale // d for a, d in row])
         den *= scale
     return _minors(scaled, n), den
+
+
+def integer_minors(rows, n: int) -> tuple[list[int], int]:
+    """:func:`pair_minors` of rational (or int) ``rows``."""
+    return pair_minors([[(x.numerator, x.denominator) for x in row] for row in rows], n)
 
 
 def _field_minors(m: ExactMatrix) -> list:
@@ -329,9 +334,8 @@ def y_shape_check(m: ExactMatrix, beta: KSubset, gamma: KSubset) -> bool:
     return True
 
 
-def _build_y(shape: YShape, field, units, frees) -> ExactMatrix:
-    zero = field.zero
-    one = field.one
+def _build_y(shape: YShape, zero, one, units, frees) -> tuple[tuple, ...]:
+    """The rows of the banded matrix of ``shape`` with these unit and free entries."""
     rows = []
     fit = iter(frees)
     uit = iter(units)
@@ -343,7 +347,7 @@ def _build_y(shape: YShape, field, units, frees) -> ExactMatrix:
         for j in free:
             row[j - 1] = next(fit)
         rows.append(tuple(row))
-    return ExactMatrix._of_rows(tuple(rows), field)  # every entry is already in ``field``
+    return tuple(rows)
 
 
 def sample_y(beta: KSubset, gamma: KSubset, field, seed) -> ExactMatrix:
@@ -352,7 +356,20 @@ def sample_y(beta: KSubset, gamma: KSubset, field, seed) -> ExactMatrix:
     shape = YShape(beta, gamma)
     units = [field.random_nonzero(rng) for _ in range(shape.unit_count)]
     frees = [field.random_element(rng) for _ in range(shape.star_count)]
-    return _build_y(shape, field, units, frees)
+    return ExactMatrix._of_rows(_build_y(shape, field.zero, field.one, units, frees), field)
+
+
+def sample_y_minors(shape: YShape, rng: random.Random) -> list[int]:
+    """``integer_minors`` of ``sample_y(beta, gamma, QQ, rng)``'s rows, exactly, from the
+    same draws in the same order, with each entry kept as a (numerator,
+    denominator) pair: no ``Fraction`` and no ``ExactMatrix`` is built."""
+    units = []
+    while len(units) < shape.unit_count:  # QQ.random_nonzero draws until nonzero
+        pair = QQ.random_pair(rng)
+        if pair[0]:
+            units.append(pair)
+    frees = [QQ.random_pair(rng) for _ in range(shape.star_count)]
+    return pair_minors(_build_y(shape, (0, 1), (1, 1), units, frees), shape.n)[0]
 
 
 def enumerate_y(beta: KSubset, gamma: KSubset, field: PrimeField) -> Iterator[ExactMatrix]:
@@ -362,7 +379,7 @@ def enumerate_y(beta: KSubset, gamma: KSubset, field: PrimeField) -> Iterator[Ex
     allv = field.elements()
     for units in itertools.product(nz, repeat=shape.unit_count):
         for frees in itertools.product(allv, repeat=shape.star_count):
-            yield _build_y(shape, field, units, frees)
+            yield ExactMatrix._of_rows(_build_y(shape, field.zero, field.one, units, frees), field)
 
 
 def phi(m: ExactMatrix, beta: KSubset, gamma: KSubset) -> ExactMatrix:

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -91,11 +94,10 @@ class GrPoint:
     __slots__ = ("rows", "residues", "support", "field")
 
     def __init__(self, rows: tuple[tuple, ...], residues, support: int, field: PrimeField):
-        init = object.__setattr__
-        init(self, "rows", rows)
-        init(self, "residues", residues)
-        init(self, "support", support)
-        init(self, "field", field)
+        _set_rows(self, rows)  # the slots' own setters: __setattr__ refuses every write
+        _set_residues(self, residues)
+        _set_support(self, support)
+        _set_field(self, field)
 
     def __setattr__(self, name, value):
         raise AttributeError("GrPoint is immutable")
@@ -120,45 +122,66 @@ class GrPoint:
         return f"GrPoint({self.matrix!r})"
 
 
+_set_rows, _set_residues, _set_support, _set_field = (getattr(GrPoint, a).__set__ for a in GrPoint.__slots__)
 _field = lru_cache(maxsize=None)(PrimeField)
+_FLAGS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
 def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
     """The Schubert cell of ``pivot``: every reduced echelon matrix with those
-    pivot columns, its free entries filled in the order of one product."""
+    pivot columns, its free entries filled in the order of one product.
+
+    Every k-minor is linear in the last row, so for each fill of the upper rows
+    one int holds the minors of all q^m last rows: q^m points of N = C(n, k)
+    lanes, w bits each, the smallest array width with 2q <= 2^(w-1).  A sum of
+    two residues stays below 2q, so no carry crosses a lane, and adding
+    2^(w-1) - q sets a lane's top bit when it is q or more."""
     field = _field(q)
-    bits = [1 << i for i in range(math.comb(n, k))]
+    fmt = next(f for f in "BHIQ" if 2 * q <= 1 << (8 * array(f).itemsize - 1))
+    size, N, m = array(fmt).itemsize, math.comb(n, k), math.comb(n, k - 1)
+    w, top, order = 8 * size, 1 << (8 * size - 1), sys.byteorder  # the byte order of arrays
     piv0 = [e - 1 for e in pivot.elements]
-    last = piv0[-1]
-    free = [(i, j) for i in range(k - 1) for j in range(n) if j > piv0[i] and j not in piv0]
-    base = [[int(j == p) for j in range(n)] for p in piv0[:-1]]
-    # every column right of the last pivot is free in the last row, and
-    # its entries vary fastest, as in one product over all free entries
-    last_free = range(last + 1, n)
-    last_rows = [
-        (field.zero,) * last + (field.one,) + tuple(map(field, fill))
-        for fill in itertools.product(range(q), repeat=len(last_free))
-    ]
+    # one product over the rows' fills is one over every free entry, and each
+    # row's ints and field elements are built once; the last row's vary fastest
+    row_fills = []
+    for p in piv0:
+        cols = [j for j in range(p + 1, n) if j not in piv0]
+        fills = (dict(zip(cols, vals)) for vals in itertools.product(range(q), repeat=len(cols)))
+        rows = [[fill.get(j, int(j == p)) for j in range(n)] for fill in fills]
+        row_fills.append([(row, tuple(map(field, row))) for row in rows])
+    last_rows = [row for _, row in row_fills.pop()]
+    # out of [u, -u, 0], u the (k-1)-minors of the upper rows: the weight in each
+    # k-minor of the last row's pivot column, then of its free columns, and a 0 lane
+    where = [{c: i if s > 0 else m + i for s, c, i in terms} for terms in _expansion(k, n)]
+    picks = [itemgetter(*(at.get(c, 2 * m) for at in where), 2 * m) for c in range(piv0[-1], n)]
+    ones = [int.from_bytes(array(fmt, [1]).tobytes() * (q**j * N), order) for j in range(len(picks))]
     points = []
-    for fill in itertools.product(range(q), repeat=len(free)):
-        grid = [row[:] for row in base]
-        for (i, j), v in zip(free, fill):
-            grid[i][j] = v
-        upper = _minors(grid, n)
-        # every k-minor is linear in the last row: coef[c] holds the weight
-        # of that row's column c in each minor, mod q
-        coef = [[0] * len(bits) for _ in range(n)]
-        for s, terms in enumerate(_expansion(k, n)):
-            for sign, c, i in terms:
-                coef[c][s] = sign * upper[i] % q
-        vecs = [coef[last]]
-        for c in last_free:
-            multiples = [[v * x % q for x in coef[c]] for v in range(q)]
-            vecs = [[(a + b) % q for a, b in zip(vec, m)] for vec in vecs for m in multiples]
-        upper_rows = tuple(tuple(map(field, row)) for row in grid)
-        for row, vals in zip(last_rows, vecs):
-            points.append(GrPoint(upper_rows + (row,), tuple(vals), sum(itertools.compress(bits, vals)), field))
+    for fill in itertools.product(*row_fills):
+        upper = [u % q for u in _minors([row for row, _ in fill], n)]
+        src = upper + [-u % q for u in upper] + [0]
+        pivot_column, *columns = (array(fmt, pick(src)).tobytes()[: N * size] for pick in picks)
+        block = int.from_bytes(pivot_column, order)
+        for j, column in enumerate(reversed(columns)):
+            # block holds q^j points; digit d adds the column to each of them d times
+            step, high, off = int.from_bytes(column * q**j, order), top * ones[j], (top - q) * ones[j]
+            pieces = [block]
+            for _ in range(q - 1):
+                block += step
+                block -= (((block + off) & high) >> (w - 1)) * q
+                pieces.append(block)
+            block = int.from_bytes(b"".join(x.to_bytes(q**j * N * size, order) for x in pieces), order)
+        length = len(last_rows) * N * size
+        residues = memoryview(block.to_bytes(length, order)).cast(fmt)
+        # adding top - 1 sets a lane's top bit when it is nonzero; reversed, the
+        # flags list the last point first, and in each point its last lane
+        nonzero = ((block + (top - 1) * ones[-1]) & top * ones[-1]) >> (w - 1)
+        flags = nonzero.to_bytes(length, order)[(size - 1) * (order == "big") :: size].translate(_FLAGS)[::-1]
+        upper_rows = tuple(row for _, row in fill)
+        for p, row in enumerate(last_rows):
+            at = (len(last_rows) - 1 - p) * N
+            support = int(flags[at : at + N], 2)
+            points.append(GrPoint(upper_rows + (row,), tuple(residues[p * N : p * N + N]), support, field))
     return tuple(points)
 
 

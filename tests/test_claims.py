@@ -87,24 +87,32 @@ def test_claim_ids_are_the_nine_claims_in_order():
 
 
 def test_seeded_draws_repeat_and_follow_the_seed(monkeypatch):
-    # a passing report does not depend on the drawn points, so record them
-    build = claims.sample_y
+    # a passing report does not depend on the drawn points, so record them:
+    # Thm3's banded matrices and Lem4's int minor vectors
+    build, build_minors = claims.sample_y, claims.sample_y_minors
 
     def draws(seed):
         drawn = []
 
         def recorded(beta, gamma, field, rng):
             m = build(beta, gamma, field, rng)
-            drawn.append((beta, gamma, m.rows))
+            drawn.append(("Thm3", beta, gamma, m.rows))
             return m
 
+        def recorded_minors(shape, rng):
+            minors = build_minors(shape, rng)
+            drawn.append(("Lem4", shape.beta, shape.gamma, minors))
+            return minors
+
         monkeypatch.setattr(claims, "sample_y", recorded)
+        monkeypatch.setattr(claims, "sample_y_minors", recorded_minors)
         report = claims.run_all(dataclasses.replace(CFG, seed=seed), ("Thm3-roundtrip", "Lem4-certificates"))
         assert report.overall == reports.PASS
         return drawn
 
     first = draws(1)
-    assert first and first == draws(1)
+    assert {claim for claim, *_ in first} == {"Thm3", "Lem4"}
+    assert first == draws(1)
     assert first != draws(2)
 
 

@@ -30,6 +30,7 @@ from plucker import (
     w_membership,
     y_shape_check,
 )
+from plucker.matrices import integer_minors, sample_y_minors
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -270,6 +271,16 @@ class TestBandedShape:
                 assert len(mats) == q**shape.star_count * (q - 1) ** shape.unit_count
                 assert len(set(mats)) == len(mats)
                 assert all(y_shape_check(m, b, g) for m in mats)
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
+    def test_int_draw_is_exactly_the_scaled_minors_of_sample_y(self, k, n):
+        # the same RNG calls in the same order, each pair reduced as Fraction reduces it
+        for b, g in iter_comparable_pairs(k, n):
+            shape = YShape(b, g)
+            for seed in range(3):
+                rng, oracle = random.Random(seed), random.Random(seed)
+                assert sample_y_minors(shape, rng) == integer_minors(sample_y(b, g, QQ, oracle).rows, n)[0]
+                assert rng.random() == oracle.random()
 
     def test_over_gf2_units_forced(self):
         b, g = KSubset((1, 2), 4), KSubset((3, 4), 4)

@@ -90,8 +90,11 @@ class TestEnumeration:
             with pytest.raises(ParameterError):
                 enumerate_grassmannian(2, 4, q, budget=10**100)
 
-    # 4099 is above the interning limit of PrimeField, so its residues are made per use
-    @pytest.mark.parametrize("k,n,q", [(1, 4, 3), (2, 4, 3), (3, 5, 2), (4, 6, 2), (3, 3, 5), (1, 2, 4099)])
+    # 4099 is above the interning limit of PrimeField, so its residues are made per use;
+    # q = 2, 3, 5 pack a cell's minors in 8-bit lanes, 4099 in 16, 16411 in 32, 2**31 - 1 in 64
+    @pytest.mark.parametrize(
+        "k,n,q", [(1, 4, 3), (2, 4, 3), (3, 5, 2), (4, 6, 2), (3, 3, 5), (1, 2, 4099), (1, 2, 16411), (2, 2, 2**31 - 1)]
+    )
     def test_points_match_leibniz_minors(self, leibniz, k, n, q):
         pts = enumerate_grassmannian(k, n, q)
         column_sets = [[e - 1 for e in s.elements] for s in enumerate_subsets(k, n)]
