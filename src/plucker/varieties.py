@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -134,33 +134,34 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
 
     Every k-minor is linear in the last row, so for each fill of the upper rows
     one int holds the minors of all q^m last rows: q^m points of N = C(n, k)
-    lanes, w bits each, the smallest array width with 2q <= 2^(w-1).  A sum of
+    lanes, w bits each, the smallest native width with 2q <= 2^(w-1).  A sum of
     two residues stays below 2q, so no carry crosses a lane, and adding
     2^(w-1) - q sets a lane's top bit when it is q or more."""
     field = _field(q)
-    fmt = next(f for f in "BHIQ" if 2 * q <= 1 << (8 * array(f).itemsize - 1))
-    size, N, m = array(fmt).itemsize, math.comb(n, k), math.comb(n, k - 1)
-    w, top, order = 8 * size, 1 << (8 * size - 1), sys.byteorder  # the byte order of arrays
+    fmt = next(f for f in "BHIQ" if 2 * q <= 1 << (8 * struct.calcsize(f) - 1))
+    size, N, m = struct.calcsize(fmt), math.comb(n, k), math.comb(n, k - 1)
+    w, top, order = 8 * size, 1 << (8 * size - 1), sys.byteorder  # struct's native order
     piv0 = [e - 1 for e in pivot.elements]
     # one product over the rows' fills is one over every free entry, and each
     # row's ints and field elements are built once; the last row's vary fastest
     row_fills = []
     for p in piv0:
         cols = [j for j in range(p + 1, n) if j not in piv0]
-        fills = (dict(zip(cols, vals)) for vals in itertools.product(range(q), repeat=len(cols)))
-        rows = [[fill.get(j, int(j == p)) for j in range(n)] for fill in fills]
+        entries = (dict(zip(cols, vals)) for vals in itertools.product(range(q), repeat=len(cols)))
+        rows = [[free.get(j, int(j == p)) for j in range(n)] for free in entries]
         row_fills.append([(row, tuple(map(field, row))) for row in rows])
     last_rows = [row for _, row in row_fills.pop()]
     # out of [u, -u, 0], u the (k-1)-minors of the upper rows: the weight in each
     # k-minor of the last row's pivot column, then of its free columns, and a 0 lane
     where = [{c: i if s > 0 else m + i for s, c, i in terms} for terms in _expansion(k, n)]
     picks = [itemgetter(*(at.get(c, 2 * m) for at in where), 2 * m) for c in range(piv0[-1], n)]
-    ones = [int.from_bytes(array(fmt, [1]).tobytes() * (q**j * N), order) for j in range(len(picks))]
+    ones = [int.from_bytes(struct.pack(fmt, 1) * (q**j * N), order) for j in range(len(picks))]
+    pack, point = struct.Struct(f"{N + 1}{fmt}").pack, struct.Struct(f"{N}{fmt}")
     points = []
     for fill in itertools.product(*row_fills):
         upper = [u % q for u in _minors([row for row, _ in fill], n)]
         src = upper + [-u % q for u in upper] + [0]
-        pivot_column, *columns = (array(fmt, pick(src)).tobytes()[: N * size] for pick in picks)
+        pivot_column, *columns = (pack(*pick(src))[: N * size] for pick in picks)
         block = int.from_bytes(pivot_column, order)
         for j, column in enumerate(reversed(columns)):
             # block holds q^j points; digit d adds the column to each of them d times
@@ -172,16 +173,15 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
                 pieces.append(block)
             block = int.from_bytes(b"".join(x.to_bytes(q**j * N * size, order) for x in pieces), order)
         length = len(last_rows) * N * size
-        residues = memoryview(block.to_bytes(length, order)).cast(fmt)
         # adding top - 1 sets a lane's top bit when it is nonzero; reversed, the
         # flags list the last point first, and in each point its last lane
         nonzero = ((block + (top - 1) * ones[-1]) & top * ones[-1]) >> (w - 1)
         flags = nonzero.to_bytes(length, order)[(size - 1) * (order == "big") :: size].translate(_FLAGS)[::-1]
         upper_rows = tuple(row for _, row in fill)
-        for p, row in enumerate(last_rows):
+        residues = point.iter_unpack(block.to_bytes(length, order))
+        for p, (row, vals) in enumerate(zip(last_rows, residues)):
             at = (len(last_rows) - 1 - p) * N
-            support = int(flags[at : at + N], 2)
-            points.append(GrPoint(upper_rows + (row,), tuple(residues[p * N : p * N + N]), support, field))
+            points.append(GrPoint(upper_rows + (row,), vals, int(flags[at : at + N], 2), field))
     return tuple(points)
 
 
