@@ -155,8 +155,10 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
     # k-minor of the last row's pivot column, then of its free columns, and a 0 lane
     where = [{c: i if s > 0 else m + i for s, c, i in terms} for terms in _expansion(k, n)]
     picks = [itemgetter(*(at.get(c, 2 * m) for at in where), 2 * m) for c in range(piv0[-1], n)]
+    # 1 in every lane of a block of q^j points, j = 0..m
     ones = [int.from_bytes(struct.pack(fmt, 1) * (q**j * N), order) for j in range(len(picks))]
     pack, point = struct.Struct(f"{N + 1}{fmt}").pack, struct.Struct(f"{N}{fmt}")
+    length = len(last_rows) * N * size
     points = []
     for fill in itertools.product(*row_fills):
         upper = [u % q for u in _minors([row for row, _ in fill], n)]
@@ -172,7 +174,6 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
                 block -= (((block + off) & high) >> (w - 1)) * q
                 pieces.append(block)
             block = int.from_bytes(b"".join(x.to_bytes(q**j * N * size, order) for x in pieces), order)
-        length = len(last_rows) * N * size
         # adding top - 1 sets a lane's top bit when it is nonzero; reversed, the
         # flags list the last point first, and in each point its last lane
         nonzero = ((block + (top - 1) * ones[-1]) & top * ones[-1]) >> (w - 1)
