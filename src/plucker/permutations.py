@@ -1,22 +1,21 @@
 """Permutations of {1..n}, Bruhat order, and positroids from Bruhat intervals.
 
 The Bruhat order is computed straight from the sorted-prefix criterion:
-u <= v iff {u(1..j)} <= {v(1..j)} componentwise for every j.  Interval
-enumeration filters the whole group, which is the right trade at desk
-scale (n <= 7); per-n tables of sorted prefixes and comparability
-bitmasks are cached so sweeps stay fast.
+u <= v iff {u(1..j)} <= {v(1..j)} componentwise for every j.  An interval
+[u, v] is enumerated by a walk down Bruhat covers from v, pruned at each
+element not above u, so it costs the interval's size, not the group's.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import le
+from typing import Iterable
 
 from .errors import BudgetError, ParameterError
-from .subsets import KSubset, SubsetFamily
+from .subsets import KSubset, SubsetFamily, p_set
 
-_ENUMERATION_MAX_N = 7
 _BRUTEFORCE_MAX_N = 6
 
 
@@ -120,69 +119,45 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     return all(a <= b for a, b in zip(fu, fv))
 
 
-class _SymGroup:
-    """Per-n tables: the full group, prefix flats, and lazy order bitmasks."""
+def _interval(u: Permutation, v: Permutation) -> set[tuple[int, ...]]:
+    """The one-line images of every w with u <= w <= v; empty when u is not below v.
 
-    __slots__ = ("n", "perms", "index", "flats", "_up", "_down")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.perms = tuple(itertools.permutations(range(1, n + 1)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        self.flats = tuple(_prefix_flat(p) for p in self.perms)
-        self._up: dict[int, int] = {}
-        self._down: dict[int, int] = {}
-
-    def up_mask(self, idx: int) -> int:
-        """Bitmask of {w : perms[idx] <= w}."""
-        mask = self._up.get(idx)
-        if mask is None:
-            fu = self.flats[idx]
-            mask = 0
-            for j, fw in enumerate(self.flats):
-                if all(a <= b for a, b in zip(fu, fw)):
-                    mask |= 1 << j
-            self._up[idx] = mask
-        return mask
-
-    def down_mask(self, idx: int) -> int:
-        """Bitmask of {w : w <= perms[idx]}."""
-        mask = self._down.get(idx)
-        if mask is None:
-            fv = self.flats[idx]
-            mask = 0
-            for j, fw in enumerate(self.flats):
-                if all(a <= b for a, b in zip(fw, fv)):
-                    mask |= 1 << j
-            self._down[idx] = mask
-        return mask
-
-
-@lru_cache(maxsize=None)
-def _group(n: int) -> _SymGroup:
-    if n > _ENUMERATION_MAX_N:
-        raise BudgetError(f"full-group enumeration is guarded at n <= {_ENUMERATION_MAX_N}")
-    return _SymGroup(n)
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _interval_mask(u: Permutation, v: Permutation) -> tuple[_SymGroup, int]:
+    A walk down Bruhat covers from v, pruned at each w that is not >= u
+    (``_prefix_flat``).  A cover of w swaps positions i < j with
+    w(i) > w(j) and no value between them in positions i+1..j-1.  Bruhat
+    intervals are graded, so every w in [u, v] lies on a chain of covers
+    down from v, and each element of that chain is >= w >= u, so the
+    pruning never cuts it: the walk reaches exactly [u, v].
+    """
     if u.n != v.n:
         raise ParameterError(f"size mismatch: {u.n} vs {v.n}")
-    g = _group(u.n)
-    return g, g.up_mask(g.index[u.images]) & g.down_mask(g.index[v.images])
+    fu = _prefix_flat(u.images)
+
+    def above_u(w: tuple[int, ...]) -> bool:
+        return all(map(le, fu, _prefix_flat(w)))
+
+    if not above_u(v.images):
+        return set()
+    seen = {v.images}
+    stack = [v.images]
+    while stack:
+        w = stack.pop()
+        for i, wi in enumerate(w):
+            low = 0  # the largest value below wi in positions i+1..j-1
+            for j in range(i + 1, len(w)):
+                wj = w[j]
+                if low < wj < wi:
+                    low = wj
+                    x = w[:i] + (wj,) + w[i + 1 : j] + (wi,) + w[j + 1 :]
+                    if x not in seen and above_u(x):
+                        seen.add(x)
+                        stack.append(x)
+    return seen
 
 
 def bruhat_interval(u: Permutation, v: Permutation) -> frozenset[Permutation]:
     """All w with u <= w <= v; empty when u is not below v."""
-    g, mask = _interval_mask(u, v)
-    return frozenset(Permutation(g.perms[i]) for i in _iter_bits(mask))
+    return frozenset(Permutation(w) for w in _interval(u, v))
 
 
 def grassmannian_perm(alpha: KSubset) -> Permutation:
@@ -195,8 +170,7 @@ def positroid_from_interval(u: Permutation, v: Permutation, k: int) -> SubsetFam
     """The projected family {first-k-values(w) : u <= w <= v}."""
     if not 0 < k <= u.n:
         raise ParameterError(f"k={k} out of range 1..{u.n}")
-    g, mask = _interval_mask(u, v)
-    members = {KSubset(sorted(g.perms[i][:k]), u.n) for i in _iter_bits(mask)}
+    members = {KSubset(s, u.n) for s in {tuple(sorted(w[:k])) for w in _interval(u, v)}}
     return SubsetFamily(members, k, u.n)
 
 
@@ -206,8 +180,6 @@ def verify_positroidset(beta: KSubset, gamma: KSubset, t: int) -> bool:
     The projection interval runs from w_beta * s_t up to w_gamma; an empty
     window family must coincide with an empty interval.
     """
-    from .subsets import p_set
-
     fam = p_set(beta, gamma, t)
     u = compose(grassmannian_perm(beta), simple_transposition(t, beta.n))
     v = grassmannian_perm(gamma)
@@ -220,9 +192,11 @@ def verify_positroidset(beta: KSubset, gamma: KSubset, t: int) -> bool:
 def is_positroid_bruteforce(family: SubsetFamily, k: int, n: int) -> bool:
     """Exhaustively search for a Bruhat interval projecting onto ``family``.
 
-    Test-oracle quality only: iterates over candidate pairs (u, v) with
-    u <= v, pruned by the order-preservation of the projection.  Guarded
-    to small n.
+    Test-oracle quality only: filters the whole group by the sorted-prefix
+    criterion, so it shares no code with the walk of ``_interval``.  It
+    iterates over candidate pairs (u, v) with u <= v, pruned by the
+    order-preservation of the projection and by the up-set of each u,
+    computed once per u.  Guarded to small n.
     """
     if n > _BRUTEFORCE_MAX_N:
         raise BudgetError(f"exhaustive positroid search is guarded at n <= {_BRUTEFORCE_MAX_N}")
@@ -230,31 +204,21 @@ def is_positroid_bruteforce(family: SubsetFamily, k: int, n: int) -> bool:
         raise ParameterError("family parameters disagree with (k, n)")
     if len(family) == 0:
         return False
-    g = _group(n)
     members = {m.elements for m in family.members}
     lo = tuple(min(m[i] for m in members) for i in range(k))
     hi = tuple(max(m[i] for m in members) for i in range(k))
-    pik = [tuple(sorted(p[:k])) for p in g.perms]
-    # u projects into the family and below every member; dually for v.
-    u_candidates = [
-        i for i, s in enumerate(pik) if s in members and all(a <= b for a, b in zip(s, lo))
-    ]
-    v_candidates = [
-        i for i, s in enumerate(pik) if s in members and all(a >= b for a, b in zip(s, hi))
-    ]
-    for iu in u_candidates:
-        up = g.up_mask(iu)
-        for iv in v_candidates:
-            if not (up >> iv) & 1:
+    # (prefix flat, first-k-values) of every w; u projects into the family
+    # and below every member, dually for v.
+    perms = itertools.permutations(range(1, n + 1))
+    table = [(_prefix_flat(w), tuple(sorted(w[:k]))) for w in perms]
+    us = [fw for fw, s in table if s in members and all(map(le, s, lo))]
+    vs = [fw for fw, s in table if s in members and all(map(le, hi, s))]
+    for fu in us:
+        up = [(fw, s) for fw, s in table if all(map(le, fu, fw))]
+        bad = [fw for fw, s in up if s not in members]
+        for fv in vs:
+            if not all(map(le, fu, fv)) or any(all(map(le, fw, fv)) for fw in bad):
                 continue
-            seen = set()
-            ok = True
-            for w in _iter_bits(up & g.down_mask(iv)):
-                s = pik[w]
-                if s not in members:
-                    ok = False
-                    break
-                seen.add(s)
-            if ok and len(seen) == len(members):
+            if {s for fw, s in up if all(map(le, fw, fv))} == members:
                 return True
     return False

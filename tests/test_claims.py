@@ -1,7 +1,7 @@
 """Claim-level checks: a corrupted certificate must fail ``Lem4-certificates``
 or ``Cor5-unit``, those claims read int vectors, not ``PluckerVector``s, and
 the runner's reports and seeded draws repeat, its claims keep their order and
-it applies the skip rule."""
+it applies the skip rule, and ``Thm6-positroidset`` runs past n = 7."""
 
 import dataclasses
 
@@ -133,6 +133,12 @@ def test_a_claim_with_no_check_is_skipped(claim):
     report = claims.run_claim(claim, SweepConfig(budget=1).validate())
     assert report.verdict == reports.SKIP and report.params["checks"] == 0
     assert report.witness is None and report.params["notes"]
+
+
+def test_thm6_runs_past_n_7():
+    report = claims.run_claim("Thm6-positroidset", SweepConfig(k_range=(2, 2), n_range=(8, 8)).validate())
+    assert report.verdict == reports.PASS and report.params["checks"] == 336
+    assert "notes" not in report.params
 
 
 def test_roundtrip_notes_each_small_field_left_out_of_primes():

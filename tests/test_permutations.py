@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -157,9 +158,42 @@ class TestBruhat:
             full = bruhat_interval(identity(n), long_element(n))
             assert len(full) == len(all_perms(n))
 
-    def test_enumeration_guard(self):
-        with pytest.raises(BudgetError):
-            bruhat_interval(identity(8), long_element(8))
+    def test_interval_is_the_order_interval(self):
+        def by_filter(u, v, ps):
+            return frozenset(w for w in ps if bruhat_leq(u, w) and bruhat_leq(w, v))
+
+        for n in (1, 2, 3, 4):
+            ps = all_perms(n)
+            for u in ps:
+                for v in ps:
+                    assert bruhat_interval(u, v) == by_filter(u, v, ps)
+        rng = random.Random(1806)
+        for n in (5, 6):
+            ps = all_perms(n)
+            nonempty = 0
+            for _ in range(200):
+                u, v = rng.sample(ps, 2)
+                if bruhat_leq(v, u):
+                    u, v = v, u
+                want = by_filter(u, v, ps)
+                assert bruhat_interval(u, v) == want
+                nonempty += bool(want)
+            assert nonempty >= 50
+        assert len(bruhat_interval(identity(7), long_element(7))) == 5040
+
+    def test_interval_past_n_7(self):
+        # v lies in the Young subgroup S_3 x S_3 x S_2 (its reduced words use
+        # no s_3, s_6), so [u, v] is the product of the blockwise intervals
+        def block(u, v, shift):
+            u, v = Permutation(u), Permutation(v)
+            below = [w for w in all_perms(u.n) if bruhat_leq(u, w) and bruhat_leq(w, v)]
+            return [tuple(x + shift for x in w.images) for w in below]
+
+        blocks = [block((2, 1, 3), (2, 3, 1), 0), block((1, 2, 3), (2, 3, 1), 3), block((1, 2), (2, 1), 6)]
+        want = {Permutation(a + b + c) for a, b, c in itertools.product(*blocks)}
+        assert len(want) == 2 * 4 * 2
+        u, v = Permutation([2, 1, 3, 4, 5, 6, 7, 8]), Permutation([2, 3, 1, 5, 6, 4, 8, 7])
+        assert bruhat_interval(u, v) == want
 
 
 class TestGrassmannianPerm:
@@ -197,8 +231,6 @@ class TestPositroids:
             assert fam == SubsetFamily(enumerate_subsets(k, n))
 
     def test_grassmannian_interval_projects_to_subset_interval(self):
-        import random
-
         rng = random.Random(4101)
         for k, n in ((2, 4), (2, 5), (3, 5), (3, 6)):
             pairs = list(iter_comparable_pairs(k, n))
