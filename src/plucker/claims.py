@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 
-from . import __version__, reports
+from . import __version__
 from .certificates import (
     compiled_relations,
     holds,
@@ -29,7 +29,7 @@ from .errors import BudgetError, ParameterError
 from .fields import QQ, PrimeField
 from .matrices import YShape, enumerate_y, pair_minors, phi, psi, sample_y, sample_y_minors, w_membership
 from .permutations import verify_positroidset
-from .reports import ClaimReport, RunReport
+from .reports import FAIL, PASS, SKIP, ClaimReport, RunReport
 from .subsets import enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
 from .varieties import (
     _check_budget,
@@ -64,11 +64,11 @@ def _claim(claim: str):
             if notes:
                 params["notes"] = notes
             if failures:
-                verdict = reports.FAIL
+                verdict = FAIL
             elif params["checks"]:
-                verdict = reports.PASS
+                verdict = PASS
             else:
-                verdict = reports.SKIP
+                verdict = SKIP
             witness = failures[0] if failures else None
             return ClaimReport(claim, params, verdict, witness, time.monotonic() - started)
 
@@ -340,6 +340,6 @@ def run_all(cfg: SweepConfig, claims: tuple[str, ...] = CLAIM_IDS) -> RunReport:
             report.claims.append(run_claim(claim, cfg))
         except Exception as exc:  # a crashed claim is a failed claim
             report.claims.append(
-                ClaimReport(claim, {}, reports.FAIL, f"unhandled error: {exc!r}")
+                ClaimReport(claim, {}, FAIL, f"unhandled error: {exc!r}")
             )
     return report

@@ -8,6 +8,10 @@ finite-field points of a locus), ``count`` (count them).
 
 Exit codes: 0 all claims pass, 1 at least one claim fails, 2 bad
 configuration or input.
+
+Each command imports only the modules it reads: ``verify-all`` loads
+the claims and their config, ``certificate`` the certificates, and the
+other commands neither.
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ import argparse
 import sys
 
 from . import __version__
-from .claims import CLAIM_IDS, run_all
-from .config import load_config
 from .errors import BudgetError, ConfigError, DecompositionError, ParameterError, ParseError
 from .matrices import format_matrix, parse_matrix, phi, psi
-from .certificates import format_certificate, principal_certificate, unit_certificate
 from .subsets import p_set, parse_subset
 from .varieties import (
     DEFAULT_BUDGET,
@@ -104,6 +105,8 @@ def _locus_spec(args):
 
 def _claim_selection(text: str) -> tuple[str, ...]:
     """The claim ids named in ``text``, in ``CLAIM_IDS`` order."""
+    from .claims import CLAIM_IDS
+
     named = {c.strip() for c in text.split(",") if c.strip()}
     unknown = sorted(named - set(CLAIM_IDS))
     if unknown or not named:
@@ -113,6 +116,9 @@ def _claim_selection(text: str) -> tuple[str, ...]:
 
 
 def _cmd_verify_all(args) -> int:
+    from .claims import CLAIM_IDS, run_all
+    from .config import load_config
+
     only = None if args.only is None else _claim_selection(args.only)
     overrides = {}
     if args.seed is not None:
@@ -136,6 +142,8 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
+    from .certificates import format_certificate, principal_certificate, unit_certificate
+
     beta = parse_subset(args.beta, args.n)
     gamma = parse_subset(args.gamma, args.n)
     if args.alpha is None:

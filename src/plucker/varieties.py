@@ -17,7 +17,6 @@ import itertools
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -59,30 +58,48 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
 class VarietySpec:
-    """A locus cut out by vanishing and non-vanishing coordinate constraints."""
+    """A locus cut out by vanishing and non-vanishing coordinate constraints.
+    Immutable; equality and hash are those of the four constraint fields."""
 
-    k: int
-    n: int
-    must_vanish: frozenset[KSubset]
-    must_not_vanish: frozenset[KSubset]
+    __slots__ = ("k", "n", "must_vanish", "must_not_vanish", "_vanish", "_nonvanish")
 
-    def __post_init__(self):
-        if self.must_vanish & self.must_not_vanish:
+    def __init__(self, k: int, n: int, must_vanish: frozenset[KSubset], must_not_vanish: frozenset[KSubset]):
+        if must_vanish & must_not_vanish:
             raise ParameterError("vanishing and non-vanishing constraints overlap")
-        for s in itertools.chain(self.must_vanish, self.must_not_vanish):
-            if (s.k, s.n) != (self.k, self.n):
-                raise ParameterError(f"{s!r} does not live in S({self.k},{self.n})")
-        # compiled once; not dataclass fields, so equality and hash stay on the sets
-        pos = _subset_positions(self.k, self.n)
-        object.__setattr__(self, "_vanish", sum(1 << pos[s.elements] for s in self.must_vanish))
-        object.__setattr__(self, "_nonvanish", sum(1 << pos[s.elements] for s in self.must_not_vanish))
+        for s in itertools.chain(must_vanish, must_not_vanish):
+            if (s.k, s.n) != (k, n):
+                raise ParameterError(f"{s!r} does not live in S({k},{n})")
+        pos = _subset_positions(k, n)  # the masks are compiled once, and kept out of equality and hash
+        masks = (sum(1 << pos[s.elements] for s in must_vanish), sum(1 << pos[s.elements] for s in must_not_vanish))
+        for set_slot, value in zip(_spec_setters, (k, n, must_vanish, must_not_vanish, *masks)):
+            set_slot(self, value)  # __setattr__ refuses every write
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VarietySpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VarietySpec is immutable")
+
+    def _key(self) -> tuple:
+        return self.k, self.n, self.must_vanish, self.must_not_vanish
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VarietySpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "VarietySpec(k={!r}, n={!r}, must_vanish={!r}, must_not_vanish={!r})".format(*self._key())
 
     def admits(self, support: int) -> bool:
         """Whether a point with this support lies on the locus.  Bit i of a
         support is set when the i-th subset of ``enumerate_subsets(k, n)`` is nonzero."""
         return not support & self._vanish and support & self._nonvanish == self._nonvanish
+
+
+_spec_setters = tuple(getattr(VarietySpec, a).__set__ for a in VarietySpec.__slots__)
 
 
 class GrPoint:

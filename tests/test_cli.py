@@ -369,14 +369,12 @@ class TestVerifyAll:
         assert doc["config"]["seed"] == 77  # env beats file
 
     def test_failing_claim_exits_1(self, capsys, tmp_path, monkeypatch):
-        import plucker.cli as cli_mod
-
         def fake_run_all(cfg):
             rep = RunReport(config=cfg.to_dict(), version="test")
             rep.claims.append(ClaimReport("Thm3-roundtrip", {}, reports.FAIL, "forced"))
             return rep
 
-        monkeypatch.setattr(cli_mod, "run_all", fake_run_all)
+        monkeypatch.setattr("plucker.claims.run_all", fake_run_all)
         report_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify-all", "--report", str(report_path))
         assert code == 1 and "overall: FAIL" in out

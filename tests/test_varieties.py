@@ -223,6 +223,43 @@ class TestSpecs:
         with pytest.raises(ParameterError):
             VarietySpec(2, 4, frozenset({a}), frozenset({a}))
 
+    def test_equal_constraints_give_equal_specs_and_hashes(self):
+        a, b = ks((1, 2), 4), ks((3, 4), 4)
+        spec = VarietySpec(2, 4, frozenset({a}), frozenset({b}))
+        same = VarietySpec(2, 4, frozenset([a]), frozenset([b]))
+        assert spec == same and hash(spec) == hash(same) and spec is not same
+        assert {spec: "x"}[same] == "x"
+        assert richardson_spec(a, b) == richardson_spec(a, b)
+
+    def test_specs_differing_in_one_field_are_unequal(self):
+        a, b = ks((1, 2), 4), ks((3, 4), 4)
+        spec = VarietySpec(2, 4, frozenset({a}), frozenset({b}))
+        others = [
+            VarietySpec(2, 5, frozenset(), frozenset()),
+            VarietySpec(1, 4, frozenset(), frozenset()),
+            VarietySpec(2, 4, frozenset(), frozenset({b})),
+            VarietySpec(2, 4, frozenset({a}), frozenset()),
+        ]
+        assert VarietySpec(2, 4, frozenset(), frozenset()) not in others
+        assert all(spec != other for other in others)
+        assert spec != (2, 4, frozenset({a}), frozenset({b}))
+
+    def test_specs_are_immutable(self):
+        spec = VarietySpec(2, 4, frozenset({ks((1, 2), 4)}), frozenset())
+        for name in ("k", "n", "must_vanish", "must_not_vanish", "_vanish", "_nonvanish", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        assert (spec.k, spec.n, spec.must_vanish) == (2, 4, frozenset({ks((1, 2), 4)}))
+
+    def test_repr_names_every_field(self):
+        text = repr(VarietySpec(2, 4, frozenset({ks((1, 2), 4)}), frozenset({ks((3, 4), 4)})))
+        assert text == (
+            "VarietySpec(k=2, n=4, must_vanish=frozenset({KSubset([1, 2], n=4)}), "
+            "must_not_vanish=frozenset({KSubset([3, 4], n=4)}))"
+        )
+
     def test_empty_spec_accepts_everything(self):
         spec = VarietySpec(2, 4, frozenset(), frozenset())
         pts = enumerate_grassmannian(2, 4, 2)
