@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .errors import EvaluationError, ParameterError, ParseError
+from .errors import EvaluationError, Immutable, ParameterError, ParseError, as_int
 from .matrices import PluckerVector, _minors, _subset_positions
 from .subsets import (
     KSubset,
@@ -64,19 +64,17 @@ from .subsets import (
     subset_leq,
 )
 
-class PluckerSymbol:
+class PluckerSymbol(Immutable):
     """A formal coordinate symbol with an integer power."""
 
     __slots__ = ("index", "power")
 
     def __init__(self, index: KSubset, power: int = 1):
+        power = as_int(power)
         if power == 0:
             raise ParameterError("zero powers are dropped, not stored")
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "power", int(power))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PluckerSymbol is immutable")
+        object.__setattr__(self, "power", power)
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,7 +106,7 @@ def _merge_symbols(symbols: Iterable[PluckerSymbol]) -> tuple[PluckerSymbol, ...
     return tuple(kept)
 
 
-class LaurentExpression:
+class LaurentExpression(Immutable):
     """A canonical sum of integer multiples of symbol monomials."""
 
     __slots__ = ("terms",)
@@ -129,9 +127,6 @@ class LaurentExpression:
         object.__setattr__(
             self, "terms", tuple(acc[key] for key in sorted(acc))
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentExpression is immutable")
 
     @classmethod
     def zero(cls) -> "LaurentExpression":

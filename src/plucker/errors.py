@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the base and integer check of the value types."""
+
+import operator
 
 
 class ParameterError(ValueError):
@@ -46,3 +48,33 @@ class ParseError(ValueError):
         if line is not None:
             where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + where)
+
+
+class Immutable:
+    """Base of the value types.  No attribute is written or deleted after
+    ``__init__``, which sets the slots with ``object.__setattr__`` or the
+    slot's own descriptor; so a copy is the value itself.  Not picklable:
+    unpickling would write the slots through ``__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def as_int(value) -> int:
+    """``value`` as an int if it is one (``operator.index``), so that no float,
+    Fraction or string is rounded or parsed on the way; else a ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{value!r} is not an integer") from None

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
-from .errors import ParameterError, ParseError
+from .errors import Immutable, ParameterError, ParseError, as_int
 
 _MAX_PRIME = 2**31
 _INTERN_LIMIT = 1 << 12
@@ -30,7 +31,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class Fp:
+class Fp(Immutable):
     """A residue modulo a prime p, canonical in 0..p-1."""
 
     __slots__ = ("value", "p")
@@ -38,9 +39,6 @@ class Fp:
     def __init__(self, value: int, p: int):
         object.__setattr__(self, "value", value % p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fp is immutable")
 
     def _lift(self, other):
         if isinstance(other, Fp):
@@ -116,8 +114,10 @@ class Fp:
         return str(self.value)
 
 
-class PrimeField:
+class PrimeField(Immutable):
     """GF(p) for a prime p < 2**31."""
+
+    __slots__ = ("p", "characteristic", "_elems", "zero", "one")
 
     def __init__(self, p: int):
         # size first: trial division of a huge modulus would run for minutes
@@ -125,18 +125,20 @@ class PrimeField:
             raise ParameterError(f"p must be below 2**31, got {p}")
         if not isinstance(p, int) or not is_prime(p):
             raise ParameterError(f"{p!r} is not prime")
-        self.p = p
-        self.characteristic = p
-        self._elems = [Fp(v, p) for v in range(p)] if p <= _INTERN_LIMIT else None
-        self.zero = self(0)
-        self.one = self(1)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "characteristic", p)
+        elems = tuple(Fp(v, p) for v in range(p)) if p <= _INTERN_LIMIT else None
+        object.__setattr__(self, "_elems", elems)
+        object.__setattr__(self, "zero", self(0))
+        object.__setattr__(self, "one", self(1))
 
     def __call__(self, value) -> Fp:
+        """The element of an int or of an element of this field; anything else is a ParameterError."""
         if isinstance(value, Fp):
             if value.p != self.p:
                 raise ParameterError(f"mixed moduli {self.p} and {value.p}")
             value = value.value
-        v = int(value) % self.p
+        v = as_int(value) % self.p
         if self._elems is not None:
             return self._elems[v]
         return Fp(v, self.p)
@@ -154,10 +156,10 @@ class PrimeField:
         return self(rng.randrange(1, self.p))
 
     def parse(self, token: str) -> Fp:
-        try:
-            return self(int(token))
-        except ValueError:
-            raise ParseError(f"bad residue {token!r} for GF({self.p})") from None
+        # ASCII digits only: int() would also take "+1", "1_0" and other scripts' digits
+        if not (token.isascii() and token.isdigit()):
+            raise ParseError(f"bad residue {token!r} for GF({self.p})")
+        return self(int(token))
 
     def format(self, elem: Fp) -> str:
         return str(self(elem).value)
@@ -172,8 +174,10 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class Rationals:
+class Rationals(Immutable):
     """The field of exact rationals, elements being ``fractions.Fraction``."""
+
+    __slots__ = ()
 
     characteristic = 0
     zero = Fraction(0)
@@ -184,7 +188,8 @@ class Rationals:
     _DEN_BOUND = 4
 
     def __call__(self, value) -> Fraction:
-        return Fraction(value)
+        """The element of an int or a Fraction; anything else is a ParameterError."""
+        return value if isinstance(value, Fraction) else Fraction(as_int(value))
 
     def random_pair(self, rng: random.Random) -> tuple[int, int]:
         """:meth:`random_element`'s draw as a reduced (numerator, denominator)."""
@@ -202,10 +207,10 @@ class Rationals:
                 return x
 
     def parse(self, token: str) -> Fraction:
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {token!r}") from None
+        # ``n`` or ``n/d``, d nonzero, in ASCII digits: Fraction() would also take "1e9", "0.5" and "1_0"
+        if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", token):
+            raise ParseError(f"bad rational {token!r}")
+        return Fraction(token)
 
     def format(self, elem: Fraction) -> str:
         return str(Fraction(elem))

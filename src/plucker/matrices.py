@@ -22,12 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import DecompositionError, ParameterError, ParseError, ShapeError
+from .errors import DecompositionError, Immutable, ParameterError, ParseError, ShapeError
 from .fields import QQ, PrimeField, Rationals
 from .subsets import KSubset, delta, enumerate_subsets, interval, subset_leq
 
 
-class ExactMatrix:
+class ExactMatrix(Immutable):
     """An immutable matrix with entries in one exact field."""
 
     __slots__ = ("field", "rows", "_hash")
@@ -50,9 +50,6 @@ class ExactMatrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rws)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     @property
     def nrows(self) -> int:
@@ -189,7 +186,7 @@ def _field_minors(m: ExactMatrix) -> list:
     return [field(v) for v in _minors([[x.value for x in row] for row in m.rows], m.ncols)]
 
 
-class PluckerVector:
+class PluckerVector(Immutable):
     """The full vector of maximal minors, indexed by column k-subsets."""
 
     __slots__ = ("k", "n", "field", "values", "_hash")
@@ -205,9 +202,6 @@ class PluckerVector:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PluckerVector is immutable")
 
     def __getitem__(self, alpha):
         key = alpha.elements if isinstance(alpha, KSubset) else tuple(alpha)
@@ -290,7 +284,7 @@ def ldu(s: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     return tuple(ExactMatrix._of_rows(rows, s.field) for rows in (lower, d, u))
 
 
-class YShape:
+class YShape(Immutable):
     """Per-row structure of the banded matrix space attached to (beta, gamma).
 
     ``rows`` holds each row's (unit column, pivot column, free columns),
@@ -307,9 +301,6 @@ class YShape:
         stars, units = sum(len(free) for _, _, free in rows), sum(g > b for b, g, _ in rows)
         for name, value in zip(self.__slots__, (beta, gamma, beta.k, beta.n, rows, stars, units)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("YShape is immutable")
 
     def unit_column(self, i: int) -> int:
         return self.beta(i)
@@ -482,9 +473,12 @@ def parse_matrix(text: str) -> ExactMatrix:
         row = []
         for col, tok in enumerate(toks, start=1):
             try:
-                row.append(field.parse(tok))
-            except ParseError as exc:
+                x = field.parse(tok)
+                if field.format(x) != tok:  # only the spelling format_matrix writes round-trips
+                    raise ParseError(f"entry {tok!r} is not written as {field.format(x)}")
+            except ValueError as exc:  # ParseError, or int() refusing a token of over 4300 digits
                 raise ParseError(str(exc), line=ln_no, column=col) from None
+            row.append(x)
         rows.append(row)
     if not rows:
         raise ParseError("matrix has no rows", line=head_no + 1)

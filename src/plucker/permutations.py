@@ -13,19 +13,19 @@ from functools import lru_cache
 from operator import le
 from typing import Iterable
 
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, Immutable, ParameterError, as_int
 from .subsets import KSubset, SubsetFamily, p_set
 
 _BRUTEFORCE_MAX_N = 6
 
 
-class Permutation:
+class Permutation(Immutable):
     """A permutation of {1..n} stored in one-line notation: w(i) = images[i-1]."""
 
     __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(x) for x in images)
+        imgs = tuple(map(as_int, images))
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ParameterError(f"{imgs} is not a permutation of 1..{n}")
@@ -46,9 +46,6 @@ class Permutation:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"

@@ -15,10 +15,10 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import EmptyIntervalError, ParameterError, ParseError
+from .errors import EmptyIntervalError, Immutable, ParameterError, ParseError, as_int
 
 
-class KSubset:
+class KSubset(Immutable):
     """An immutable, strictly increasing k-subset of {1..n}.
 
     ``subset(i)`` (call syntax) returns the i-th smallest element,
@@ -30,7 +30,7 @@ class KSubset:
     __slots__ = ("elements", "n", "_hash")
 
     def __init__(self, elements: Iterable[int], n: int):
-        elems = tuple(int(e) for e in elements)
+        elems, n = tuple(map(as_int, elements)), as_int(n)
         if not elems:
             raise ParameterError("a k-subset must be nonempty")
         if any(b <= a for a, b in zip(elems, elems[1:])):
@@ -38,7 +38,7 @@ class KSubset:
         if elems[0] < 1 or elems[-1] > n:
             raise ParameterError(f"elements {elems} out of range 1..{n}")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_hash", hash((elems, n)))
 
     @property
@@ -76,9 +76,6 @@ class KSubset:
 
     def __le__(self, other: "KSubset") -> bool:
         return self.elements <= other.elements
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KSubset is immutable")
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
@@ -119,7 +116,7 @@ def parse_subset(text: str, n: int) -> KSubset:
     return KSubset(elems, n)
 
 
-class SubsetFamily:
+class SubsetFamily(Immutable):
     """A finite set of KSubsets sharing the same (k, n)."""
 
     __slots__ = ("members", "k", "n", "_hash")
@@ -159,9 +156,6 @@ class SubsetFamily:
     def __hash__(self) -> int:
         return self._hash
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetFamily is immutable")
-
     def __repr__(self) -> str:
         return "SubsetFamily({" + ", ".join(str(m) for m in self) + "}" + f", k={self.k}, n={self.n})"
 
@@ -182,7 +176,7 @@ class SubsetFamily:
         return SubsetFamily(self.members - other.members, self.k, self.n)
 
 
-class SubsetInterval:
+class SubsetInterval(Immutable):
     """The interval [lo, hi] in the componentwise order."""
 
     __slots__ = ("lo", "hi")
@@ -201,9 +195,6 @@ class SubsetInterval:
 
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetInterval is immutable")
 
     def __repr__(self) -> str:
         return f"SubsetInterval({self.lo}, {self.hi})"
@@ -257,32 +248,27 @@ def covers(a: KSubset, b: KSubset) -> bool:
     return bumped == 1
 
 
+def _moves(a: KSubset, step: int) -> tuple[KSubset, ...]:
+    """Every subset with one element of ``a`` moved by ``step`` to a value in
+    1..n not already in ``a``, in lexicographic order; order is kept, as
+    the moved value does not pass a neighbour."""
+    elems = a.elements
+    moved = (
+        KSubset(elems[:i] + (x + step,) + elems[i + 1 :], a.n)
+        for i, x in enumerate(elems)
+        if 1 <= x + step <= a.n and x + step not in elems
+    )
+    return tuple(sorted(moved))
+
+
 def upper_covers(a: KSubset) -> tuple[KSubset, ...]:
     """All b with a covered by b, in lexicographic order."""
-    out = []
-    elems = a.elements
-    for i, x in enumerate(elems):
-        nxt = x + 1
-        if nxt > a.n:
-            continue
-        if i + 1 < len(elems) and elems[i + 1] == nxt:
-            continue
-        out.append(KSubset(elems[:i] + (nxt,) + elems[i + 1 :], a.n))
-    return tuple(sorted(out))
+    return _moves(a, 1)
 
 
 def lower_covers(a: KSubset) -> tuple[KSubset, ...]:
-    """All b covered by a."""
-    out = []
-    elems = a.elements
-    for i, x in enumerate(elems):
-        prv = x - 1
-        if prv < 1:
-            continue
-        if i > 0 and elems[i - 1] == prv:
-            continue
-        out.append(KSubset(elems[:i] + (prv,) + elems[i + 1 :], a.n))
-    return tuple(sorted(out))
+    """All b covered by a, in lexicographic order."""
+    return _moves(a, -1)
 
 
 def delta(beta: KSubset, gamma: KSubset, t: int) -> KSubset:

@@ -23,7 +23,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, Immutable, ParameterError
 from .fields import PrimeField
 from .matrices import ExactMatrix, PluckerVector, YShape, _expansion, _minors, _subset_positions
 from .subsets import (
@@ -58,7 +58,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-class VarietySpec:
+class VarietySpec(Immutable):
     """A locus cut out by vanishing and non-vanishing coordinate constraints.
     Immutable; equality and hash are those of the four constraint fields."""
 
@@ -74,12 +74,6 @@ class VarietySpec:
         masks = (sum(1 << pos[s.elements] for s in must_vanish), sum(1 << pos[s.elements] for s in must_not_vanish))
         for set_slot, value in zip(_spec_setters, (k, n, must_vanish, must_not_vanish, *masks)):
             set_slot(self, value)  # __setattr__ refuses every write
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VarietySpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("VarietySpec is immutable")
 
     def _key(self) -> tuple:
         return self.k, self.n, self.must_vanish, self.must_not_vanish
@@ -102,7 +96,7 @@ class VarietySpec:
 _spec_setters = tuple(getattr(VarietySpec, a).__set__ for a in VarietySpec.__slots__)
 
 
-class GrPoint:
+class GrPoint(Immutable):
     """A reduced echelon representative over GF(q): its rows, the residues of its
     maximal minors in lex order and its support bitmask.  Most checks read only
     the support, so ``matrix`` and ``plucker`` are built each time they are read;
@@ -115,9 +109,6 @@ class GrPoint:
         _set_residues(self, residues)
         _set_support(self, support)
         _set_field(self, field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrPoint is immutable")
 
     @property
     def matrix(self) -> ExactMatrix:

@@ -97,6 +97,12 @@ class TestLaurentExpression:
         with pytest.raises(ParameterError):
             PluckerSymbol(ks((1, 2), 4), 0)
 
+    def test_power_is_an_integer(self):
+        # int() would store 0.5 as 0, a power the constructor refuses, and 1.5 as 1
+        for power in (0.5, 1.5, Fraction(2), "2"):
+            with pytest.raises(ParameterError, match="not an integer"):
+                PluckerSymbol(ks((1, 2), 4), power)
+
     def test_localization_guard(self):
         b, g = ks((1, 2), 4), ks((3, 4), 4)
         good = LaurentExpression.term(1, (sym((1, 2), 4, -1), sym((1, 3), 4)))

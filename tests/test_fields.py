@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plucker import QQ, ParameterError, ParseError, PrimeField, is_prime
+from plucker import QQ, ExactMatrix, ParameterError, ParseError, PrimeField, is_prime
 
 
 def test_is_prime_small():
@@ -58,6 +58,15 @@ class TestFp:
         with pytest.raises(ParameterError):
             PrimeField(5)(1) + PrimeField(7)(1)
 
+    def test_only_integers_and_residues(self):
+        # int() would read 1/2 as 0 and 2.7 as 2, so [[1/2, 0], [0, 1]] had det 0 in GF(5)
+        for value in (Fraction(1, 2), Fraction(4, 2), 2.7, "3"):
+            with pytest.raises(ParameterError, match="not an integer"):
+                self.F5(value)
+        with pytest.raises(ParameterError):
+            ExactMatrix([[Fraction(1, 2), 0], [0, 1]], self.F5)
+        assert self.F5(self.F5(3)) is self.F5(3) and self.F5(True) == 1
+
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
     def test_field_axioms_gf7(self, a, b, c):
@@ -96,6 +105,13 @@ class TestRationals:
         assert QQ.format(Fraction(-1, 2)) == "-1/2"
         with pytest.raises(ParseError):
             QQ.parse("1/0")
+
+    def test_only_integers_and_fractions(self):
+        # Fraction() would read 0.1 as 3602879701896397/36028797018963968
+        for value in (0.1, 2.0, "1/2", PrimeField(5)(1)):
+            with pytest.raises(ParameterError, match="not an integer"):
+                QQ(value)
+        assert QQ(3) == Fraction(3) and QQ(Fraction(2, 4)) == Fraction(1, 2)
 
     def test_random_sampling_deterministic(self):
         a = [QQ.random_element(random.Random(7)) for _ in range(5)]

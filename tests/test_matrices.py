@@ -456,6 +456,15 @@ class TestSerialization:
             parse_matrix("field rational\n\n# c\n1 2\n1 x\n")
         assert err.value.line == 5 and err.value.column == 2
 
+    def test_entries_only_as_format_writes_them(self):
+        # int() and Fraction() read "+1 1_0 ٣" as 1 0 3 and "0.5 1e1 2/4 1_0/3" as 1/2 10 1/2 10/3
+        for head, row in (("field gf 5", "+1 1_0 ٣ 7 01"), ("field rational", "0.5 1e1 2/4 1_0/3 -0 3/1 1/0 +1")):
+            for col, tok in enumerate(row.split(), start=1):
+                with pytest.raises(ParseError) as err:
+                    parse_matrix(f"{head}\n# entries\n{'1 ' * (col - 1)}{tok}\n")
+                assert (err.value.line, err.value.column) == (3, col)
+        assert format_matrix(parse_matrix("field rational\n-1/2 0 7 -3\n")) == "field rational\n-1/2 0 7 -3\n"
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_format_parse_round_trip(self, data):

@@ -42,6 +42,11 @@ class TestPermutation:
         with pytest.raises(ParameterError):
             Permutation([0, 1, 2])
 
+    def test_only_integers(self):
+        for images in ([1.0, 2.0], [2.7, 1], ["1", "2"]):
+            with pytest.raises(ParameterError, match="not an integer"):
+                Permutation(images)
+
     def test_call_and_inverse(self):
         w = Permutation([3, 1, 4, 2])
         assert w(1) == 3

@@ -82,6 +82,12 @@ class TestKSubset:
         with pytest.raises(ParameterError):
             KSubset((), 4)
 
+    def test_only_integers(self):
+        # int() would read [1.9, 2.2] as {1,2} and n = 4.9 as 4
+        for elems, n in (((1.9, 2.2), 4), ((1, 2), 4.9), (("1", 2), 4), ((1, 2), "4")):
+            with pytest.raises(ParameterError, match="not an integer"):
+                KSubset(elems, n)
+
     def test_call_is_one_indexed(self):
         a = ks((2, 5, 6, 10), 14)
         assert a(1) == 2 and a(4) == 10
