@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .errors import EvaluationError, Immutable, ParameterError, ParseError, as_int
+from .errors import EvaluationError, Immutable, ParameterError, ParseError, as_int, ascii_int
 from .matrices import PluckerVector, _minors, _subset_positions
 from .subsets import (
     KSubset,
@@ -615,13 +615,6 @@ def _at(line: int, column: int | None, parse, *args):
         raise ParseError(str(exc), line=line, column=column) from None
 
 
-def _integer(text: str, signed: bool = False) -> int:
-    # ASCII digits only: int() would also take "+1", "1_0" and other scripts' digits
-    if not re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
-        raise ParseError(f"{text!r} is not {'an' if signed else 'a nonnegative'} integer")
-    return int(text)
-
-
 def _k_subset(text: str, k: int, n: int) -> KSubset:
     subset = parse_subset(text, n)
     if str(subset) != text:  # only the spelling format_certificate writes round-trips
@@ -640,7 +633,7 @@ def _parse_terms(
             raise ParseError("unexpected end of certificate", line=lines[-1][0] + 1)
         ln_no, text = lines[idx]
         toks = text.split()
-        coeff = _at(ln_no, 1, _integer, toks[0], True)
+        coeff = _at(ln_no, 1, ascii_int, toks[0], True)
         symbols = []
         for col, tok in enumerate(toks[1:], start=2):
             m = _SYMBOL_RE.match(tok)
@@ -664,11 +657,11 @@ def parse_certificate(text: str) -> Certificate:
             raise ParseError(f"expected {name!r} line", line=ln_no)
         return _at(ln_no, None, parse, line[len(name) + 1 :], *args)
 
-    n = field(1, "n", _integer)
-    k = field(2, "k", _integer)
+    n = field(1, "n", ascii_int)
+    k = field(2, "k", ascii_int)
     beta = field(3, "beta", _k_subset, k, n)
     gamma = field(4, "gamma", _k_subset, k, n)
-    t = field(5, "t", _integer)
+    t = field(5, "t", ascii_int)
     target = field(6, "target", _k_subset, k, n)
     pivot = field(7, "pivot", _k_subset, k, n)
     _at(lines[5][0], None, _window, beta, gamma, t)  # t in 1..k-1, as p_set needs
@@ -676,10 +669,10 @@ def parse_certificate(text: str) -> Certificate:
     if pivot != expected:
         message = f"pivot {pivot} is not delta(beta, gamma, t) = {expected}"
         raise ParseError(message, line=lines[7][0])
-    cofactor, nxt = _parse_terms(lines, 9, field(8, "cofactor", _integer), k, n)
+    cofactor, nxt = _parse_terms(lines, 9, field(8, "cofactor", ascii_int), k, n)
     pivot_inverse = None
     if nxt < len(lines):
-        count = field(nxt, "pivot-inverse", _integer)
+        count = field(nxt, "pivot-inverse", ascii_int)
         pivot_inverse, nxt = _parse_terms(lines, nxt + 1, count, k, n)
     if nxt != len(lines):
         raise ParseError("trailing content", line=lines[nxt][0])

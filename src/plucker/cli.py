@@ -25,6 +25,8 @@ from .matrices import format_matrix, parse_matrix, phi, psi
 from .subsets import p_set, parse_subset
 from .varieties import (
     DEFAULT_BUDGET,
+    VarietySpec,
+    _supports,
     candidate_points,
     divisor_spec,
     enumerate_grassmannian,
@@ -187,7 +189,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    print(len(_locus_points(args)))
+    spec = _locus_spec(args) or VarietySpec(args.k, args.n, frozenset(), frozenset())  # no constraint
+    print(sum(_supports(spec, args.q, args.budget).values()))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Shared exception types, and the base and integer check of the value types."""
+"""Shared exception types, the base of the value types, and the integer checks."""
 
 import operator
 
@@ -78,3 +78,12 @@ def as_int(value) -> int:
         return operator.index(value)
     except TypeError:
         raise ParameterError(f"{value!r} is not an integer") from None
+
+
+def ascii_int(text: str, signed: bool = False) -> int:
+    """``text`` as an int if it is ASCII digits, after one ``-`` if ``signed``, else a
+    ParseError: ``int()`` alone would also take "+1", "1_0", spaces and other scripts' digits."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{text!r} is not {'an' if signed else 'a nonnegative'} integer")
+    return int(text)

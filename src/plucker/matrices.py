@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import DecompositionError, Immutable, ParameterError, ParseError, ShapeError
+from .errors import DecompositionError, Immutable, ParameterError, ParseError, ShapeError, ascii_int
 from .fields import QQ, PrimeField, Rationals
 from .subsets import KSubset, delta, enumerate_subsets, interval, subset_leq
 
@@ -457,7 +457,7 @@ def parse_matrix(text: str) -> ExactMatrix:
         field = QQ
     elif head[:2] == ["field", "gf"] and len(head) == 3:
         try:
-            field = PrimeField(int(head[2]))
+            field = PrimeField(ascii_int(head[2]))
         except (ValueError, ParameterError) as exc:
             raise ParseError(f"bad field line: {exc}", line=head_no) from None
     else:

@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import EmptyIntervalError, Immutable, ParameterError, ParseError, as_int
+from .errors import EmptyIntervalError, Immutable, ParameterError, ParseError, as_int, ascii_int
 
 
 class KSubset(Immutable):
@@ -108,7 +108,7 @@ def parse_subset(text: str, n: int) -> KSubset:
     if not parts:
         raise ParseError(f"empty subset literal {text!r}")
     try:
-        elems = sorted(int(p) for p in parts)
+        elems = sorted(map(ascii_int, parts))
     except ValueError as exc:
         raise ParseError(f"bad subset literal {text!r}: {exc}") from None
     if len(set(elems)) != len(elems):
@@ -224,14 +224,18 @@ def subset_leq(a: KSubset, b: KSubset) -> bool:
 
 def interval(beta: KSubset, gamma: KSubset) -> SubsetFamily:
     """All alpha with beta <= alpha <= gamma; an error if beta is not <= gamma."""
+    bits = bin(_interval_mask(beta, gamma))[:1:-1]  # bit i first, for the i-th subset in lex order
+    return SubsetFamily(itertools.compress(enumerate_subsets(beta.k, beta.n), map(int, bits)), beta.k, beta.n)
+
+
+@lru_cache(maxsize=None)
+def _interval_mask(beta: KSubset, gamma: KSubset) -> int:
+    """[beta, gamma] as an int: bit i is set when the i-th subset of
+    ``enumerate_subsets(k, n)`` lies in it."""
     if not subset_leq(beta, gamma):
         raise EmptyIntervalError(f"{beta} is not componentwise <= {gamma}")
-    members = [
-        a
-        for a in enumerate_subsets(beta.k, beta.n)
-        if subset_leq(beta, a) and subset_leq(a, gamma)
-    ]
-    return SubsetFamily(members, beta.k, beta.n)
+    subsets = enumerate_subsets(beta.k, beta.n)
+    return sum(1 << i for i, a in enumerate(subsets) if subset_leq(beta, a) and subset_leq(a, gamma))
 
 
 def covers(a: KSubset, b: KSubset) -> bool:

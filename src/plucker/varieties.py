@@ -17,6 +17,7 @@ import itertools
 import math
 import struct
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -135,10 +136,11 @@ _field = lru_cache(maxsize=None)(PrimeField)
 _FLAGS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@lru_cache(maxsize=None)
-def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
-    """The Schubert cell of ``pivot``: every reduced echelon matrix with those
-    pivot columns, its free entries filled in the order of one product.
+def _fills(k: int, n: int, q: int, pivot: KSubset) -> Iterator[tuple[tuple, list, Iterator, bytes]]:
+    """The Schubert cell of ``pivot``, every reduced echelon matrix with those pivot
+    columns, one fill of its upper rows at a time, in the order of one product over
+    the free entries: yields the upper rows, the last rows, the points' residue vectors
+    and their nonzero flags, b"0" or b"1" per lane, last point and last lane first.
 
     Every k-minor is linear in the last row, so for each fill of the upper rows
     one int holds the minors of all q^m last rows: q^m points of N = C(n, k)
@@ -167,7 +169,6 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
     ones = [int.from_bytes(struct.pack(fmt, 1) * (q**j * N), order) for j in range(len(picks))]
     pack, point = struct.Struct(f"{N + 1}{fmt}").pack, struct.Struct(f"{N}{fmt}")
     length = len(last_rows) * N * size
-    points = []
     for fill in itertools.product(*row_fills):
         upper = [u % q for u in _minors([row for row, _ in fill], n)]
         src = upper + [-u % q for u in upper] + [0]
@@ -182,16 +183,33 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
                 block -= (((block + off) & high) >> (w - 1)) * q
                 pieces.append(block)
             block = int.from_bytes(b"".join(x.to_bytes(q**j * N * size, order) for x in pieces), order)
-        # adding top - 1 sets a lane's top bit when it is nonzero; reversed, the
-        # flags list the last point first, and in each point its last lane
+        # adding top - 1 sets a lane's top bit when it is nonzero
         nonzero = ((block + (top - 1) * ones[-1]) & top * ones[-1]) >> (w - 1)
         flags = nonzero.to_bytes(length, order)[(size - 1) * (order == "big") :: size].translate(_FLAGS)[::-1]
-        upper_rows = tuple(row for _, row in fill)
         residues = point.iter_unpack(block.to_bytes(length, order))
-        for p, (row, vals) in enumerate(zip(last_rows, residues)):
-            at = (len(last_rows) - 1 - p) * N
+        yield tuple(row for _, row in fill), last_rows, residues, flags
+
+
+@lru_cache(maxsize=None)
+def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
+    """The Schubert cell of ``pivot``: its points in the order of ``_fills``."""
+    field, N = _field(q), math.comb(n, k)
+    points = []
+    for upper_rows, last_rows, residues, flags in _fills(k, n, q, pivot):
+        for at, row, vals in zip(range(len(flags) - N, -1, -N), last_rows, residues):
             points.append(GrPoint(upper_rows + (row,), vals, int(flags[at : at + N], 2), field))
     return tuple(points)
+
+
+@lru_cache(maxsize=None)
+def _census(k: int, n: int, q: int, pivot: KSubset) -> Mapping[int, int]:
+    """The support census of the cell of ``pivot``, read-only: each support mapped to
+    its number of points.  It counts the flag slices of ``_fills``, each read as an int once."""
+    N = math.comb(n, k)
+    slices: Counter[bytes] = Counter()
+    for *_, flags in _fills(k, n, q, pivot):
+        slices.update(flags[at : at + N] for at in range(0, len(flags), N))
+    return MappingProxyType({int(bits, 2): count for bits, count in slices.items()})
 
 
 def enumerate_grassmannian(
@@ -217,14 +235,38 @@ def _check_budget(k: int, n: int, q: int, budget: int) -> None:
         )
 
 
+def _cells(spec: VarietySpec) -> list[KSubset]:
+    """The pivot sets of the cells that can meet ``spec``.  A point's pivot set
+    is its lex-first nonzero coordinate, so a spec that makes alpha vanish, or
+    inverts a subset before alpha in lex order, admits no point of its cell."""
+    upto = (spec._nonvanish & -spec._nonvanish).bit_length() or None  # one past the first inverted
+    return [s for i, s in enumerate(enumerate_subsets(spec.k, spec.n)[:upto]) if not spec._vanish >> i & 1]
+
+
 def candidate_points(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[GrPoint]:
-    """The points of every cell that can meet ``spec``, in enumeration order,
-    once the whole Grassmannian passes the budget check.  Every point of the
-    cell of alpha has Delta_alpha = 1, so a spec that makes alpha vanish admits
-    no point there; the caller still filters the points of the other cells."""
+    """The points of every cell that can meet ``spec``, in enumeration order, once
+    the whole Grassmannian passes the budget check; the caller still filters them."""
     _check_budget(spec.k, spec.n, q, budget)
-    cells = [s for i, s in enumerate(enumerate_subsets(spec.k, spec.n)) if not spec._vanish >> i & 1]
-    return itertools.chain.from_iterable(_cell(spec.k, spec.n, q, s) for s in cells)
+    return itertools.chain.from_iterable(_cell(spec.k, spec.n, q, s) for s in _cells(spec))
+
+
+def _supports(spec: VarietySpec, q: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+    """Each support ``spec`` admits mapped to its number of GF(q) points, read from the
+    census of every cell that can meet it once the whole Grassmannian passes the budget check."""
+    _check_budget(spec.k, spec.n, q, budget)
+    censuses = (_census(spec.k, spec.n, q, s).items() for s in _cells(spec))
+    return {s: count for census in censuses for s, count in census if spec.admits(s)}
+
+
+def _mismatch(lhs: set[int], rhs: set[int], beta: KSubset, q: int, case: str) -> str | None:
+    """None when the two support sets are equal, else the failure text at the last
+    enumerated point of the first support in only one, read from its cell: the
+    support's lowest bit, as a point's pivot set is its lex-first nonzero coordinate."""
+    if lhs == rhs:
+        return None
+    support, subsets = min(lhs ^ rhs), enumerate_subsets(beta.k, beta.n)
+    cell = _cell(beta.k, beta.n, q, subsets[(support & -support).bit_length() - 1])
+    return f"set mismatch at {next(p for p in reversed(cell) if p.support == support)!r} in {case}"
 
 
 def richardson_buckets(
@@ -326,7 +368,7 @@ def verify_positroid_divisor(
     it holds, else the failure text with its case.
 
     Both sides are computed from independent constraint sets, over the open
-    stratum's points only.  That is exact: both specs invert beta and gamma and
+    stratum's supports only.  That is exact: both specs invert beta and gamma and
     kill every coordinate outside [beta, gamma], so each support they admit has
     min beta and max gamma, the key of that stratum's bucket.  A locus with no
     GF(q) point is looked for over the primes of ``_DIVISOR_PRIMES``; if none
@@ -338,22 +380,19 @@ def verify_positroid_divisor(
     open_spec = richardson_spec(beta, gamma, open_=True)
     pos_spec = positroid_spec(family)
     div_spec = divisor_spec(beta, gamma, t)
-    # Both sides are predicates on a point's support, so the point sets are equal
-    # exactly when their support sets are; the last point enumerated stands for each.
-    reps = {p.support: p for p in open_richardson_points(beta, gamma, q, budget)}
-    lhs = {s for s in reps if div_spec.admits(s)}
-    rhs = {s for s in reps if open_spec.admits(s) and pos_spec.admits(s)}
-    if lhs != rhs:
-        return f"set mismatch at {reps[min(lhs ^ rhs)]!r} in ({beta},{gamma},t={t},q={q})"
-    if lhs:
-        return None
+    # Both sides are predicates on a point's support, so the point sets are equal exactly
+    # when their support sets are; unless both are empty, that settles the case.
+    stratum = _supports(open_spec, q, budget)  # the census of the cell of beta
+    lhs = {s for s in stratum if div_spec.admits(s)}
+    rhs = {s for s in stratum if pos_spec.admits(s)}
+    if lhs or rhs:
+        return _mismatch(lhs, rhs, beta, q, f"({beta},{gamma},t={t},q={q})")
     for q2 in _DIVISOR_PRIMES:
         try:
-            points = candidate_points(div_spec, q2, budget)
+            if _supports(div_spec, q2, budget):
+                return None
         except BudgetError:
             continue
-        if any(div_spec.admits(p.support) for p in points):
-            return None
     if notes is not None:
         notes.append(f"no points found: {dict(beta=str(beta), gamma=str(gamma), t=t, q=q)}")
     return None
@@ -367,12 +406,10 @@ def verify_complement(
     when it holds, else the failure text with its case."""
     inverted_spec = w_spec(beta, gamma)
     removed_specs = [positroid_spec(f) for f in itertools.chain(*sigma_sets(beta, gamma))]
-    reps = {p.support: p for p in closed_richardson_points(beta, gamma, q, budget)}
-    lhs = {s for s in reps if inverted_spec.admits(s)}
-    rhs = {s for s in reps if not any(spec.admits(s) for spec in removed_specs)}
-    if lhs != rhs:
-        return f"set mismatch at {reps[min(lhs ^ rhs)]!r} in ({beta},{gamma},q={q})"
-    return None
+    supports = _supports(richardson_spec(beta, gamma), q, budget)
+    lhs = {s for s in supports if inverted_spec.admits(s)}
+    rhs = {s for s in supports if not any(spec.admits(s) for spec in removed_specs)}
+    return _mismatch(lhs, rhs, beta, q, f"({beta},{gamma},q={q})")
 
 
 def verify_shifted_schubert(beta: KSubset, gamma: KSubset, t: int) -> str | None:
@@ -398,12 +435,11 @@ def verify_w_count(
 ) -> str | None:
     """Enumerated size of the fully-inverted stratum vs q^stars * (q-1)^units:
     None when they agree, else the failure text with its case.  It reads only
-    the open stratum: w_spec inverts delta(beta, gamma, 0) = gamma and
-    delta(beta, gamma, k) = beta."""
+    the census of the cell of beta, the first subset that w_spec inverts: those
+    before it lie outside [beta, gamma], where w_spec makes them vanish."""
     shape = YShape(beta, gamma)
     expected = q**shape.star_count * (q - 1) ** shape.unit_count
-    spec = w_spec(beta, gamma)
-    actual = sum(spec.admits(p.support) for p in open_richardson_points(beta, gamma, q, budget))
+    actual = sum(_supports(w_spec(beta, gamma), q, budget).values())
     if actual != expected:
         return f"enumerated {actual}, formula {expected} at ({beta},{gamma},q={q})"
     return None
@@ -424,7 +460,7 @@ def interpolate_count_polynomial(
         raise ParameterError("need at least two sample primes")
     if len(set(q_list)) != len(q_list):
         raise ParameterError("sample primes must be distinct")
-    counts = {q: sum(spec.admits(p.support) for p in candidate_points(spec, q, budget)) for q in q_list}
+    counts = {q: sum(_supports(spec, q, budget).values()) for q in q_list}
     xs = [Fraction(q) for q in q_list]
     ys = [Fraction(counts[q]) for q in q_list]
     coeffs = _lagrange(xs, ys)

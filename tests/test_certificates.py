@@ -427,14 +427,12 @@ class TestSerialization:
             assert err.value.line == line, (text, err.value)
 
     def test_subsets_are_written_canonically(self):
-        # parse_subset accepts these spellings, which format_certificate would
-        # write differently
+        # parse_subset accepts the spellings of the first list, which
+        # format_certificate would write differently, and refuses those of the second
         good = format_certificate(
             principal_certificate(ks((1, 2), 4), ks((2, 4), 4), 1, ks((1, 3), 4))
         )
         headers = [
-            ("beta {1,2}", "beta {+1,2}", 4),
-            ("beta {1,2}", "beta {1,\u0662}", 4),
             ("beta {1,2}", "beta 1,2", 4),
             ("beta {1,2}", "beta  {1,2}", 4),
             ("target {1,3}", "target {3,1}", 7),
@@ -443,6 +441,10 @@ class TestSerialization:
             with pytest.raises(ParseError, match="is not written as") as err:
                 parse_certificate(good.replace(old, new))
             assert (err.value.line, err.value.column) == (line, None), new
+        for new in ("beta {+1,2}", "beta {1,\u0662}"):
+            with pytest.raises(ParseError, match="is not a nonnegative integer") as err:
+                parse_certificate(good.replace("beta {1,2}", new))
+            assert (err.value.line, err.value.column) == (4, None), new
         for term, column in (("1 {3,2} {2,4}^-1", 2), ("1 {2,3} {02,4}^-1", 3)):
             with pytest.raises(ParseError, match="is not written as") as err:
                 parse_certificate(good.replace("\n1 {2,3} {2,4}^-1\n", f"\n{term}\n"))

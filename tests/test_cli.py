@@ -56,6 +56,18 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")
         assert code == 0 and out.strip() == "130"
 
+    def test_subset_literals_take_ascii_digits_only(self, capsys):
+        # int() reads "+1" and "\u0662" (Arabic-Indic two) as 1 and 2, and "1_0" as 10
+        for beta in ("{+1,\u0662}", "{1_0,2}"):
+            code, out, err = run_cli(
+                capsys,
+                "count",
+                "--k", "2", "--n", "12", "--q", "2",
+                "--spec", "richardson", "--beta", beta, "--gamma", "{11,12}",
+            )
+            assert code == 2 and out == "", beta
+            assert err.startswith("error: bad subset literal") and "Traceback" not in err
+
     def test_subset_size_other_than_k_exits_2_before_enumerating(self, capsys, monkeypatch):
         import plucker.cli as cli_mod
 
@@ -64,6 +76,7 @@ class TestCount:
 
         monkeypatch.setattr(cli_mod, "enumerate_grassmannian", no_enumeration)
         monkeypatch.setattr(cli_mod, "candidate_points", no_enumeration)
+        monkeypatch.setattr(cli_mod, "_supports", no_enumeration)
         for command in ("count", "enumerate"):
             code, out, err = run_cli(
                 capsys,

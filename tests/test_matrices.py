@@ -456,6 +456,13 @@ class TestSerialization:
             parse_matrix("field rational\n\n# c\n1 2\n1 x\n")
         assert err.value.line == 5 and err.value.column == 2
 
+    def test_field_line_takes_ascii_digits_only(self):
+        # int() reads the first four as 5, so "field gf +5" would not round-trip
+        for modulus in ("+5", "\u0665", "+\u0665", "0_5", "-5"):
+            with pytest.raises(ParseError, match="bad field line") as err:
+                parse_matrix(f"field gf {modulus}\n1 2\n")
+            assert err.value.line == 1, modulus
+
     def test_entries_only_as_format_writes_them(self):
         # int() and Fraction() read "+1 1_0 ٣" as 1 0 3 and "0.5 1e1 2/4 1_0/3" as 1/2 10 1/2 10/3
         for head, row in (("field gf 5", "+1 1_0 ٣ 7 01"), ("field rational", "0.5 1e1 2/4 1_0/3 -0 3/1 1/0 +1")):

@@ -1,9 +1,13 @@
-"""Smoke tests: the example scripts run and report what they claim."""
+"""Smoke tests: the example scripts run and report what they claim; the benchmark
+comparison script counts wins and gaps in each metric's direction."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,3 +66,43 @@ def test_locus_digest_is_reproducible():
         ("enumerate", "332", "8cd115f93c9b834d"),
         ("all", "664", "4c37aa80bdba2832"),
     ]
+
+
+def load_script(name):
+    """The script as a module, imported by path: scripts/ is not a package."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_compares_in_each_metrics_direction():
+    bench = load_script("bench_pairs.py")
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "rate", "unit": "1/s", "better": "higher"},
+        {"name": "errors", "unit": "count", "better": "lower"},
+    ]
+    columns = {
+        "parent": {"wall_s": [1.0, 1.2, 1.4, 1.6, 1.8], "rate": [10] * 5, "errors": [0] * 5},
+        "change": {"wall_s": [0.5, 1.3, 0.7, 0.8, 0.9], "rate": [12, 9, 11, 10, 13], "errors": [0, 1, 0, 0, 0]},
+    }
+    runs = {
+        side: [{"metrics": {m: {"value": values[i]} for m, values in cols.items()}} for i in range(5)]
+        for side, cols in columns.items()
+    }
+    out = bench.compare(runs, metrics)
+    wall, rate, errors = out["wall_s"], out["rate"], out["errors"]
+    # a win is strictly better in the metric's direction: ties and losses do not count
+    assert (wall["change_wins"], rate["change_wins"], errors["change_wins"]) == (4, 3, 0)
+    # median_gap is positive when the change is better, whichever the direction
+    assert wall["parent"]["median"] == 1.4 and wall["change"]["median"] == 0.8
+    assert wall["median_gap"] == pytest.approx(0.6) and rate["median_gap"] == 1
+    # relative_change is signed as the medians move, and undefined from a zero median
+    assert wall["relative_change"] == pytest.approx(-0.6 / 1.4) and rate["relative_change"] == pytest.approx(0.1)
+    assert errors["relative_change"] is None and errors["median_gap"] == 0
+    # quartiles as statistics.quantiles(n=4) takes them
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((1.1, 1.7))
+    assert wall["parent_iqr"] == pytest.approx(0.6)
+    assert (wall["unit"], rate["better"]) == ("s", "higher")
+    assert bench.summary([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5, "values": [2.5]}

@@ -8,6 +8,7 @@ from plucker import (
     EmptyIntervalError,
     KSubset,
     ParameterError,
+    ParseError,
     SubsetFamily,
     SubsetInterval,
     avoids_window,
@@ -105,6 +106,13 @@ class TestKSubset:
         assert parse_subset("3,1", 4) == ks((1, 3), 4)
         with pytest.raises(Exception):
             parse_subset("{1,1}", 4)
+
+    def test_parse_takes_ascii_digits_only(self):
+        # int() reads "1_0" as 10, "+1" as 1 and "\u0663" (Arabic-Indic three) as 3
+        assert parse_subset("{ 1, 10 }", 12) == ks((1, 10), 12)
+        for text in ("{1_0}", "{+1,3}", "{1,\u0663}", "{-1,3}", "{1,}3"):
+            with pytest.raises(ParseError, match="bad subset literal"):
+                parse_subset(text, 12)
 
 
 class TestEnumerate:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -371,6 +372,48 @@ class TestSupportBitmask:
         for check in checks:
             with pytest.raises(BudgetError, match="130 points"):
                 check()
+
+
+class TestCensus:
+    """A cell's support census counts the supports of its points, and the set
+    checks and counts read it without building a point."""
+
+    # GF(67) needs 16-bit lanes (2q > 2^7); the others fit in 8 bits
+    @pytest.mark.parametrize("k,n,q", [(2, 4, 2), (2, 4, 3), (3, 5, 2), (2, 5, 5), (3, 6, 2), (2, 3, 67)])
+    def test_census_counts_the_supports_of_each_cell(self, k, n, q):
+        import plucker.varieties as varieties
+
+        for pivot in enumerate_subsets(k, n):
+            census = varieties._census(k, n, q, pivot)
+            assert census == Counter(p.support for p in varieties._cell(k, n, q, pivot)), pivot
+            assert varieties._census(k, n, q, pivot) is census
+        with pytest.raises(TypeError):
+            census[1] = 1
+
+    @pytest.mark.parametrize("k,n,q", [(2, 4, 3), (3, 5, 2)])
+    def test_supports_match_the_enumeration(self, k, n, q):
+        from plucker.varieties import _supports
+
+        points = enumerate_grassmannian(k, n, q)
+        specs = [VarietySpec(k, n, frozenset(), frozenset())]
+        for b, g in iter_comparable_pairs(k, n):
+            specs += [richardson_spec(b, g), richardson_spec(b, g, open_=True), w_spec(b, g)]
+            specs += [divisor_spec(b, g, t) for t in range(1, k) if len(p_set(b, g, t))]
+        for spec in specs:
+            assert _supports(spec, q) == Counter(p.support for p in points if spec.admits(p.support)), spec
+
+    def test_set_checks_and_counts_build_no_point(self):
+        from plucker import SweepConfig, reports, varieties
+        from plucker.claims import run_all
+
+        for cache in (varieties._cell, varieties._buckets, varieties._census):
+            cache.cache_clear()
+        cfg = SweepConfig(k_range=(2, 3), n_range=(4, 5), rational_samples=5).validate()
+        report = run_all(cfg, ("Thm7-divisor", "S7-complement", "W-count"))
+        for claim in report.claims:
+            assert claim.verdict == reports.PASS, (claim.claim, claim.witness)
+        assert varieties._census.cache_info().currsize > 0
+        assert varieties._cell.cache_info().currsize == 0
 
 
 class TestSetCheckFailures:
