@@ -51,9 +51,11 @@ from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import EvaluationError, Immutable, ParameterError, ParseError, as_int, ascii_int
-from .matrices import PluckerVector, _minors, _subset_positions
+from .matrices import PluckerVector, _minors
 from .subsets import (
     KSubset,
+    _interval_mask,
+    _subset_positions,
     _window,
     avoids_window,
     delta,
@@ -61,7 +63,6 @@ from .subsets import (
     p_set,
     p_set_complement,
     parse_subset,
-    subset_leq,
 )
 
 class PluckerSymbol(Immutable):
@@ -417,10 +418,10 @@ def _cofactor(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> LaurentE
     order = PrecedesT(beta, gamma, t)
     inv = PluckerSymbol(anchor, -1)
     acc = LaurentExpression.zero()
+    inside = _interval_mask(beta, gamma)  # bit i set when the i-th subset lies in [beta, gamma]
+    pos = _subset_positions(k, alpha.n)
     for sign, a_new, b_new in _checked_exchange(alpha, anchor, exchanged)[1]:
-        if not (subset_leq(beta, a_new) and subset_leq(a_new, gamma)):
-            continue
-        if not (subset_leq(beta, b_new) and subset_leq(b_new, gamma)):
+        if not inside >> pos[a_new.elements] & 1 or not inside >> pos[b_new.elements] & 1:
             continue
         if not (order.leq(a_new, alpha) and a_new != alpha):
             raise RuntimeError(f"exchange produced {a_new}, not strictly below {alpha}")

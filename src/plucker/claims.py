@@ -11,8 +11,10 @@ witnesses change only with the seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
+from operator import itemgetter
 
 from . import __version__
 from .certificates import (
@@ -33,10 +35,10 @@ from .reports import FAIL, PASS, SKIP, ClaimReport, RunReport
 from .subsets import enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
 from .varieties import (
     _check_budget,
+    _strata,
     divisor_spec,
     expected_open_dimension,
     interpolate_count_polynomial,
-    open_richardson_points,
     verify_complement,
     verify_positroid_divisor,
     verify_shifted_schubert,
@@ -172,13 +174,6 @@ def claim_thm6_positroidset(cfg, rng, notes):
                     yield f"mismatch at ({beta},{gamma},t={t})"
 
 
-def _open_residues(beta, gamma, cfg: SweepConfig, notes: list[str]) -> list:
-    """A (q, residues of each point) group per fitting prime: the GF(q) points
-    of the open stratum of (beta, gamma)."""
-    primes = _fitting_primes(beta.k, beta.n, cfg.primes, cfg.budget, notes)
-    return [(q, [p.residues for p in open_richardson_points(beta, gamma, q, cfg.budget)]) for q in primes]
-
-
 @_claim("Lem4-certificates")
 def claim_lem4_certificates(cfg, rng, notes):
     """Window-avoiding interval members all admit certificates, and every
@@ -187,22 +182,24 @@ def claim_lem4_certificates(cfg, rng, notes):
     for k, n in cfg.grassmannians():
         if k < 2:
             continue
-        for beta, gamma in iter_comparable_pairs(k, n):
-            groups = _open_residues(beta, gamma, cfg, notes)
-            # int minors of banded matrices, which phi would not change (see certificates)
-            shape = YShape(beta, gamma)
-            groups.append((0, [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)]))
-            for t in range(1, k):
-                for alpha in p_set_complement(beta, gamma, t):
-                    try:
-                        cert = principal_certificate(beta, gamma, t, alpha)
-                    except (ParameterError, RuntimeError) as exc:
-                        yield f"no certificate for {alpha} at ({beta},{gamma},t={t}): {exc}"
-                        continue
-                    if holds(cert, cert.target, cert.cofactor, groups):
-                        yield None
-                    else:
-                        yield f"certificate failed for {alpha} at ({beta},{gamma},t={t})"
+        for beta, pairs in itertools.groupby(iter_comparable_pairs(k, n), itemgetter(0)):
+            cells = [(q, _strata(k, n, q, beta)) for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes)]
+            for _, gamma in pairs:
+                groups = [(q, strata.get(gamma, ())) for q, strata in cells]
+                # int minors of banded matrices, which phi would not change (see certificates)
+                shape = YShape(beta, gamma)
+                groups.append((0, [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)]))
+                for t in range(1, k):
+                    for alpha in p_set_complement(beta, gamma, t):
+                        try:
+                            cert = principal_certificate(beta, gamma, t, alpha)
+                        except (ParameterError, RuntimeError) as exc:
+                            yield f"no certificate for {alpha} at ({beta},{gamma},t={t}): {exc}"
+                            continue
+                        if holds(cert, cert.target, cert.cofactor, groups):
+                            yield None
+                        else:
+                            yield f"certificate failed for {alpha} at ({beta},{gamma},t={t})"
 
 
 @_claim("Cor5-unit")
@@ -212,21 +209,24 @@ def claim_cor5_unit(cfg, rng, notes):
     for k, n in cfg.grassmannians():
         if k < 2:
             continue
-        for beta, gamma in iter_comparable_pairs(k, n):
-            units = [unit_certificate(beta, gamma, t) for t in range(1, k) if not len(p_set(beta, gamma, t))]
-            groups = _open_residues(beta, gamma, cfg, notes) if units else []
-            for cert in units:
-                pivot, t = cert.pivot, cert.t
-                at = enumerate_subsets(k, n).index(pivot)
-                for q, vectors in groups:
-                    if not all(x[at] for x in vectors):
-                        yield f"pivot {pivot} vanishes on the open stratum at ({beta},{gamma},q={q})"
-                    elif not holds(cert, cert.target, cert.cofactor, [(q, vectors)]):
-                        yield f"unit certificate failed at ({beta},{gamma},t={t},q={q})"
-                    elif not holds(cert, None, cert.pivot_inverse, [(q, vectors)]):
-                        yield f"pivot inverse wrong at ({beta},{gamma},t={t},q={q})"
-                    else:
-                        yield None
+        for beta, pairs in itertools.groupby(iter_comparable_pairs(k, n), itemgetter(0)):
+            # every beta reads its cells: the window of (beta, beta) is empty at every t
+            cells = [(q, _strata(k, n, q, beta)) for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes)]
+            for _, gamma in pairs:
+                units = [unit_certificate(beta, gamma, t) for t in range(1, k) if not len(p_set(beta, gamma, t))]
+                groups = [(q, strata.get(gamma, ())) for q, strata in cells]
+                for cert in units:
+                    pivot, t = cert.pivot, cert.t
+                    at = enumerate_subsets(k, n).index(pivot)
+                    for q, vectors in groups:
+                        if not all(x[at] for x in vectors):
+                            yield f"pivot {pivot} vanishes on the open stratum at ({beta},{gamma},q={q})"
+                        elif not holds(cert, cert.target, cert.cofactor, [(q, vectors)]):
+                            yield f"unit certificate failed at ({beta},{gamma},t={t},q={q})"
+                        elif not holds(cert, None, cert.pivot_inverse, [(q, vectors)]):
+                            yield f"pivot inverse wrong at ({beta},{gamma},t={t},q={q})"
+                        else:
+                            yield None
 
 
 @_claim("Thm7-divisor")

@@ -32,12 +32,12 @@ def is_prime(p: int) -> bool:
 
 
 class Fp(Immutable):
-    """A residue modulo a prime p, canonical in 0..p-1."""
+    """A residue modulo a prime p, canonical in 0..p-1; a non-integer value is a ParameterError."""
 
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
-        object.__setattr__(self, "value", value % p)
+        object.__setattr__(self, "value", as_int(value) % p)
         object.__setattr__(self, "p", p)
 
     def _lift(self, other):

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import DecompositionError, Immutable, ParameterError, ParseError, ShapeError, ascii_int
 from .fields import QQ, PrimeField, Rationals
-from .subsets import KSubset, delta, enumerate_subsets, interval, subset_leq
+from .subsets import KSubset, _subset_positions, delta, enumerate_subsets, interval, subset_leq
 
 
 class ExactMatrix(Immutable):
@@ -123,11 +123,6 @@ def _dot(row, col, field):
     for x, y in zip(row, col):
         acc = acc + x * y
     return acc
-
-
-@lru_cache(maxsize=None)
-def _subset_positions(k: int, n: int) -> dict[tuple[int, ...], int]:
-    return {s.elements: i for i, s in enumerate(enumerate_subsets(k, n))}
 
 
 @lru_cache(maxsize=None)

@@ -211,6 +211,12 @@ def enumerate_subsets(k: int, n: int) -> tuple[KSubset, ...]:
     return tuple(KSubset(c, n) for c in itertools.combinations(range(1, n + 1), k))
 
 
+@lru_cache(maxsize=None)
+def _subset_positions(k: int, n: int) -> dict[tuple[int, ...], int]:
+    """Each k-subset's elements mapped to its position in ``enumerate_subsets(k, n)``."""
+    return {s.elements: i for i, s in enumerate(enumerate_subsets(k, n))}
+
+
 def _check_pair(a: KSubset, b: KSubset):
     if (a.k, a.n) != (b.k, b.n):
         raise ParameterError(f"mismatched parameters: {a!r} vs {b!r}")
@@ -321,17 +327,13 @@ def p_set_complement(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
 
 def avoids_window(alpha: KSubset, beta: KSubset, gamma: KSubset, t: int) -> bool:
     """Whether ``alpha`` lies in ``p_set_complement(beta, gamma, t)``, tested
-    from the interval ends and the window bounds without building the family;
-    the same errors for a bad (beta, gamma, t)."""
-    if not subset_leq(beta, gamma):
-        raise EmptyIntervalError(f"{beta} is not componentwise <= {gamma}")
+    from one bit of the interval's mask and the window bounds without building
+    the family; the same errors for a bad (beta, gamma, t)."""
+    mask = _interval_mask(beta, gamma)  # an EmptyIntervalError before the window's errors
     lo, hi = _window(beta, gamma, t)
-    return (
-        (alpha.k, alpha.n) == (beta.k, beta.n)
-        and subset_leq(beta, alpha)
-        and subset_leq(alpha, gamma)
-        and not _meets(alpha, lo, hi)
-    )
+    if (alpha.k, alpha.n) != (beta.k, beta.n):
+        return False
+    return bool(mask >> _subset_positions(beta.k, beta.n)[alpha.elements] & 1) and not _meets(alpha, lo, hi)
 
 
 def i_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:

@@ -17,6 +17,7 @@ import itertools
 import math
 import struct
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -26,10 +27,11 @@ from typing import Iterator, Mapping
 
 from .errors import BudgetError, Immutable, ParameterError
 from .fields import PrimeField
-from .matrices import ExactMatrix, PluckerVector, YShape, _expansion, _minors, _subset_positions
+from .matrices import ExactMatrix, PluckerVector, YShape, _expansion, _minors
 from .subsets import (
     KSubset,
     SubsetFamily,
+    _subset_positions,
     _window,
     cyclic_shift,
     delta,
@@ -136,41 +138,44 @@ _field = lru_cache(maxsize=None)(PrimeField)
 _FLAGS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _fills(k: int, n: int, q: int, pivot: KSubset) -> Iterator[tuple[tuple, list, Iterator, bytes]]:
+def _lane(q: int) -> str:
+    """The struct format of one residue lane over GF(q): the smallest native
+    width w with 2q <= 2^(w-1), so that a sum of two residues sets no carry out."""
+    return next(f for f in "BHIQ" if 2 * q <= 1 << (8 * struct.calcsize(f) - 1))
+
+
+def _fills(k: int, n: int, q: int, pivot: KSubset) -> Iterator[tuple[tuple, list, bytes, bytes]]:
     """The Schubert cell of ``pivot``, every reduced echelon matrix with those pivot
     columns, one fill of its upper rows at a time, in the order of one product over
-    the free entries: yields the upper rows, the last rows, the points' residue vectors
+    the free entries: yields the upper rows and the last rows, as tuples of ints, the
+    points' residue vectors, packed in lanes of format ``_lane(q)``, first point first,
     and their nonzero flags, b"0" or b"1" per lane, last point and last lane first.
 
     Every k-minor is linear in the last row, so for each fill of the upper rows
     one int holds the minors of all q^m last rows: q^m points of N = C(n, k)
-    lanes, w bits each, the smallest native width with 2q <= 2^(w-1).  A sum of
-    two residues stays below 2q, so no carry crosses a lane, and adding
-    2^(w-1) - q sets a lane's top bit when it is q or more."""
-    field = _field(q)
-    fmt = next(f for f in "BHIQ" if 2 * q <= 1 << (8 * struct.calcsize(f) - 1))
+    lanes, w bits each.  A sum of two residues stays below 2q, so no carry
+    crosses a lane, and adding 2^(w-1) - q sets a lane's top bit when it is q or more."""
+    fmt = _lane(q)
     size, N, m = struct.calcsize(fmt), math.comb(n, k), math.comb(n, k - 1)
     w, top, order = 8 * size, 1 << (8 * size - 1), sys.byteorder  # struct's native order
     piv0 = [e - 1 for e in pivot.elements]
-    # one product over the rows' fills is one over every free entry, and each
-    # row's ints and field elements are built once; the last row's vary fastest
+    # one product over the rows' fills is one over every free entry; the last row's vary fastest
     row_fills = []
     for p in piv0:
         cols = [j for j in range(p + 1, n) if j not in piv0]
         entries = (dict(zip(cols, vals)) for vals in itertools.product(range(q), repeat=len(cols)))
-        rows = [[free.get(j, int(j == p)) for j in range(n)] for free in entries]
-        row_fills.append([(row, tuple(map(field, row))) for row in rows])
-    last_rows = [row for _, row in row_fills.pop()]
+        row_fills.append([tuple(free.get(j, int(j == p)) for j in range(n)) for free in entries])
+    last_rows = row_fills.pop()
     # out of [u, -u, 0], u the (k-1)-minors of the upper rows: the weight in each
     # k-minor of the last row's pivot column, then of its free columns, and a 0 lane
     where = [{c: i if s > 0 else m + i for s, c, i in terms} for terms in _expansion(k, n)]
     picks = [itemgetter(*(at.get(c, 2 * m) for at in where), 2 * m) for c in range(piv0[-1], n)]
     # 1 in every lane of a block of q^j points, j = 0..m
     ones = [int.from_bytes(struct.pack(fmt, 1) * (q**j * N), order) for j in range(len(picks))]
-    pack, point = struct.Struct(f"{N + 1}{fmt}").pack, struct.Struct(f"{N}{fmt}")
+    pack = struct.Struct(f"{N + 1}{fmt}").pack
     length = len(last_rows) * N * size
     for fill in itertools.product(*row_fills):
-        upper = [u % q for u in _minors([row for row, _ in fill], n)]
+        upper = [u % q for u in _minors(fill, n)]
         src = upper + [-u % q for u in upper] + [0]
         pivot_column, *columns = (pack(*pick(src))[: N * size] for pick in picks)
         block = int.from_bytes(pivot_column, order)
@@ -186,19 +191,52 @@ def _fills(k: int, n: int, q: int, pivot: KSubset) -> Iterator[tuple[tuple, list
         # adding top - 1 sets a lane's top bit when it is nonzero
         nonzero = ((block + (top - 1) * ones[-1]) & top * ones[-1]) >> (w - 1)
         flags = nonzero.to_bytes(length, order)[(size - 1) * (order == "big") :: size].translate(_FLAGS)[::-1]
-        residues = point.iter_unpack(block.to_bytes(length, order))
-        yield tuple(row for _, row in fill), last_rows, residues, flags
+        yield fill, last_rows, block.to_bytes(length, order), flags
 
 
 @lru_cache(maxsize=None)
 def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
     """The Schubert cell of ``pivot``: its points in the order of ``_fills``."""
     field, N = _field(q), math.comb(n, k)
-    points = []
+    unpack = struct.Struct(f"{N}{_lane(q)}").iter_unpack
+    elements: dict[tuple, tuple] = {}  # each upper row's field elements, built once per cell
+    points, last = [], []
     for upper_rows, last_rows, residues, flags in _fills(k, n, q, pivot):
-        for at, row, vals in zip(range(len(flags) - N, -1, -N), last_rows, residues):
-            points.append(GrPoint(upper_rows + (row,), vals, int(flags[at : at + N], 2), field))
+        upper = tuple(elements.get(r) or elements.setdefault(r, tuple(map(field, r))) for r in upper_rows)
+        last = last or [tuple(map(field, row)) for row in last_rows]  # the same at every fill
+        for at, row, vals in zip(range(len(flags) - N, -1, -N), last, unpack(residues)):
+            points.append(GrPoint(upper + (row,), vals, int(flags[at : at + N], 2), field))
     return tuple(points)
+
+
+@lru_cache(maxsize=None)
+def _strata(k: int, n: int, q: int, beta: KSubset) -> Mapping[KSubset, tuple[array, ...]]:
+    """The open strata (beta, gamma) that the cell of ``beta`` splits into, read-only:
+    each gamma mapped to the residue vectors of its points, in the order of ``_cell``,
+    each an ``array`` of format ``_lane(q)``.  It reads ``_fills`` and builds no point."""
+    fmt, N = _lane(q), math.comb(n, k)
+    strata: dict[KSubset, list[array]] = {}
+    lists: dict[bytes, list[array]] = {}  # each flag slice mapped to its stratum's list
+    for *_, residues, flags in _fills(k, n, q, beta):
+        lanes = array(fmt, residues)
+        for at, start in zip(range(len(flags) - N, -1, -N), range(0, len(lanes), N)):
+            bits = flags[at : at + N]
+            vectors = lists.get(bits)
+            if vectors is None:
+                vectors = lists[bits] = strata.setdefault(_top(beta, int(bits, 2)), [])
+            vectors.append(lanes[start : start + N])
+    return MappingProxyType({gamma: tuple(vectors) for gamma, vectors in strata.items()})
+
+
+def _top(lo: KSubset, support: int) -> KSubset:
+    """The componentwise max of the nonzero coordinates of a point of the cell of ``lo``
+    with this support.  The min is ``lo``, and the pair is the key of the point's open stratum."""
+    subsets = enumerate_subsets(lo.k, lo.n)
+    members = [s.elements for i, s in enumerate(subsets) if support >> i & 1]
+    assert tuple(map(min, zip(*members))) == lo.elements, "support lost its minimum"
+    hi = tuple(map(max, zip(*members)))
+    assert hi in members, "support lost its maximum"
+    return subsets[_subset_positions(lo.k, lo.n)[hi]]
 
 
 @lru_cache(maxsize=None)
@@ -285,18 +323,13 @@ def richardson_buckets(
 
 @lru_cache(maxsize=None)
 def _buckets(k: int, n: int, q: int) -> Mapping[tuple[KSubset, KSubset], tuple[GrPoint, ...]]:
-    subsets = enumerate_subsets(k, n)
-    by_elements = {s.elements: s for s in subsets}
     his: dict[int, KSubset] = {}
     buckets: dict[tuple[KSubset, KSubset], list[GrPoint]] = {}
-    for lo in subsets:  # the pivot set of a cell's points is their minimum
+    for lo in enumerate_subsets(k, n):  # the pivot set of a cell's points is their minimum
         for point in _cell(k, n, q, lo):
             hi = his.get(point.support)
             if hi is None:
-                support = [s.elements for i, s in enumerate(subsets) if point.support >> i & 1]
-                assert tuple(map(min, zip(*support))) == lo.elements, "support lost its minimum"
-                hi = his[point.support] = by_elements[tuple(map(max, zip(*support)))]
-                assert hi.elements in support, "support lost its maximum"
+                hi = his[point.support] = _top(lo, point.support)
             buckets.setdefault((lo, hi), []).append(point)
     return MappingProxyType({key: tuple(pts) for key, pts in buckets.items()})
 

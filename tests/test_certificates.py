@@ -14,7 +14,6 @@ from plucker.matrices import integer_minors
 from plucker import (
     QQ,
     Certificate,
-    SweepConfig,
     EvaluationError,
     ExactMatrix,
     KSubset,
@@ -749,9 +748,9 @@ class TestStratumVectors:
     def stratum(beta, gamma, seed):
         """The (q, int vectors) groups the claims read for one stratum, and the
         matching PluckerVectors, group by group."""
-        from plucker.claims import _open_residues
+        from plucker.varieties import _strata
 
-        groups = _open_residues(beta, gamma, SweepConfig(primes=(2, 3)).validate(), [])
+        groups = [(q, _strata(beta.k, beta.n, q, beta).get(gamma, ())) for q in (2, 3)]
         points = [[p.plucker for p in open_richardson_points(beta, gamma, q)] for q, _ in groups]
         rng = random.Random(seed)
         ys = [sample_y(beta, gamma, QQ, rng) for _ in range(4)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plucker import QQ, ExactMatrix, ParameterError, ParseError, PrimeField, is_prime
+from plucker import QQ, ExactMatrix, Fp, ParameterError, ParseError, PrimeField, is_prime
 
 
 def test_is_prime_small():
@@ -66,6 +66,13 @@ class TestFp:
         with pytest.raises(ParameterError):
             ExactMatrix([[Fraction(1, 2), 0], [0, 1]], self.F5)
         assert self.F5(self.F5(3)) is self.F5(3) and self.F5(True) == 1
+
+    def test_constructor_takes_integers_only(self):
+        # Fp(1/2, 5) stored a Fraction value, equal to no residue of GF(5)
+        for value in (Fraction(1, 2), Fraction(4, 2), 2.0, "3"):
+            with pytest.raises(ParameterError, match="not an integer"):
+                Fp(value, 5)
+        assert Fp(7, 5) == self.F5(2) and Fp(True, 5).value == 1
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))

@@ -416,6 +416,65 @@ class TestCensus:
         assert varieties._cell.cache_info().currsize == 0
 
 
+class TestStrata:
+    """A cell's open strata hold the packed residue vectors of its points, and
+    Lem4 and Cor5 read them without building a point."""
+
+    # GF(257) needs 16-bit lanes (2q > 2^7); the others fit in 8 bits
+    @pytest.mark.parametrize("k,n,q", [(2, 4, 2), (2, 4, 3), (3, 5, 2), (3, 6, 2), (2, 3, 257)])
+    def test_strata_match_the_buckets(self, k, n, q):
+        from plucker.varieties import _strata
+
+        got = {}
+        for beta in enumerate_subsets(k, n):
+            strata = _strata(k, n, q, beta)
+            assert _strata(k, n, q, beta) is strata
+            with pytest.raises(TypeError):
+                strata[beta] = ()
+            got.update({(beta, gamma): [tuple(x) for x in vectors] for gamma, vectors in strata.items()})
+        want = {key: [p.residues for p in points] for key, points in richardson_buckets(k, n, q).items()}
+        assert list(got.items()) == list(want.items())  # every key, in order, and every vector, in order
+
+    def test_lem4_and_cor5_build_no_point(self):
+        from plucker import SweepConfig, reports, varieties
+        from plucker.claims import run_all
+
+        for cache in (varieties._cell, varieties._buckets, varieties._strata):
+            cache.cache_clear()
+        cfg = SweepConfig(k_range=(2, 3), n_range=(4, 5), rational_samples=5).validate()
+        report = run_all(cfg, ("Lem4-certificates", "Cor5-unit"))
+        for claim in report.claims:
+            assert claim.verdict == reports.PASS, (claim.claim, claim.witness)
+        assert varieties._strata.cache_info().currsize > 0
+        assert varieties._cell.cache_info().currsize == 0
+        assert varieties._buckets.cache_info().currsize == 0
+
+    def test_a_corrupted_residue_fails_lem4(self, monkeypatch):
+        # on the open stratum of ({1,2},{2,4}) Delta_34 vanishes, so
+        # Delta_13 Delta_24 = Delta_14 Delta_23, and Delta_13 + 1 breaks it
+        from plucker import SweepConfig, claims, reports
+        from plucker.varieties import _strata
+
+        beta, gamma, at = ks((1, 2), 4), ks((2, 4), 4), 1  # Delta_13 is the second coordinate
+
+        def corrupted(k, n, q, pivot):
+            strata = _strata(k, n, q, pivot)
+            if (k, n, q, pivot) != (2, 4, 3, beta):
+                return strata
+            first, *rest = strata[gamma]
+            first = type(first)(first.typecode, first)  # a copy: the cached vector stays intact
+            first[at] = (first[at] + 1) % q
+            return {**strata, gamma: (first, *rest)}
+
+        monkeypatch.setattr(claims, "_strata", corrupted)
+        cfg = SweepConfig(k_range=(2, 2), n_range=(4, 4), rational_samples=5).validate()
+        (report,) = claims.run_all(cfg, ("Lem4-certificates",)).claims
+        assert report.verdict == reports.FAIL
+        assert report.witness == "certificate failed for {1,3} at ({1,2},{2,4},t=1)"
+        monkeypatch.undo()
+        assert claims.run_all(cfg, ("Lem4-certificates",)).claims[0].verdict == reports.PASS
+
+
 class TestSetCheckFailures:
     def test_wrong_family_is_reported_with_a_point(self, monkeypatch):
         # every positroid spec becomes the closed interval variety: the window
