@@ -46,7 +46,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
@@ -453,15 +453,7 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
     base = principal_certificate(beta, gamma, t, beta)
     inverse = base.cofactor.times_term(1, (PluckerSymbol(beta, -1),))
     inverse.validate_localized(beta, gamma)
-    return Certificate(
-        target=base.target,
-        pivot=base.pivot,
-        cofactor=base.cofactor,
-        beta=beta,
-        gamma=gamma,
-        t=t,
-        pivot_inverse=inverse,
-    )
+    return replace(base, pivot_inverse=inverse)
 
 
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}  # one shared tuple per (position, power)

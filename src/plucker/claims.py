@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 import time
 from operator import itemgetter
 
@@ -32,9 +33,10 @@ from .fields import QQ, PrimeField
 from .matrices import YShape, enumerate_y, pair_minors, phi, psi, sample_y, sample_y_minors, w_membership
 from .permutations import verify_positroidset
 from .reports import FAIL, PASS, SKIP, ClaimReport, RunReport
-from .subsets import enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
+from .subsets import _subset_positions, enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
 from .varieties import (
     _check_budget,
+    _lane,
     _strata,
     divisor_spec,
     expected_open_dimension,
@@ -93,6 +95,13 @@ def _fitting_primes(k: int, n: int, primes, budget: int, notes: list[str]):
                 notes.append(note)
             continue
         yield q
+
+
+def _open_strata(k: int, n: int, beta, cfg, notes: list[str]):
+    """(q, unpack, strata) per fitting q: the open strata of the cell of ``beta``, and their reader."""
+    N = len(enumerate_subsets(k, n))
+    primes = _fitting_primes(k, n, cfg.primes, cfg.budget, notes)
+    return [(q, struct.Struct(f"{N}{_lane(q)}").iter_unpack, _strata(k, n, q, beta)) for q in primes]
 
 
 @_claim("Eq1-relations")
@@ -183,12 +192,11 @@ def claim_lem4_certificates(cfg, rng, notes):
         if k < 2:
             continue
         for beta, pairs in itertools.groupby(iter_comparable_pairs(k, n), itemgetter(0)):
-            cells = [(q, _strata(k, n, q, beta)) for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes)]
+            cells = _open_strata(k, n, beta, cfg, notes)
             for _, gamma in pairs:
-                groups = [(q, strata.get(gamma, ())) for q, strata in cells]
                 # int minors of banded matrices, which phi would not change (see certificates)
                 shape = YShape(beta, gamma)
-                groups.append((0, [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)]))
+                rational = (0, [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)])
                 for t in range(1, k):
                     for alpha in p_set_complement(beta, gamma, t):
                         try:
@@ -196,6 +204,7 @@ def claim_lem4_certificates(cfg, rng, notes):
                         except (ParameterError, RuntimeError) as exc:
                             yield f"no certificate for {alpha} at ({beta},{gamma},t={t}): {exc}"
                             continue
+                        groups = [(q, unpack(cell.get(gamma, b""))) for q, unpack, cell in cells] + [rational]
                         if holds(cert, cert.target, cert.cofactor, groups):
                             yield None
                         else:
@@ -209,21 +218,21 @@ def claim_cor5_unit(cfg, rng, notes):
     for k, n in cfg.grassmannians():
         if k < 2:
             continue
+        positions = _subset_positions(k, n)
         for beta, pairs in itertools.groupby(iter_comparable_pairs(k, n), itemgetter(0)):
             # every beta reads its cells: the window of (beta, beta) is empty at every t
-            cells = [(q, _strata(k, n, q, beta)) for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes)]
+            cells = _open_strata(k, n, beta, cfg, notes)
             for _, gamma in pairs:
                 units = [unit_certificate(beta, gamma, t) for t in range(1, k) if not len(p_set(beta, gamma, t))]
-                groups = [(q, strata.get(gamma, ())) for q, strata in cells]
                 for cert in units:
-                    pivot, t = cert.pivot, cert.t
-                    at = enumerate_subsets(k, n).index(pivot)
-                    for q, vectors in groups:
-                        if not all(x[at] for x in vectors):
+                    pivot, t, at = cert.pivot, cert.t, positions[cert.pivot.elements]
+                    for q, unpack, cell in cells:
+                        buffer = cell.get(gamma, b"")
+                        if 0 in buffer[at :: len(positions)]:  # the pivot's lane of every point
                             yield f"pivot {pivot} vanishes on the open stratum at ({beta},{gamma},q={q})"
-                        elif not holds(cert, cert.target, cert.cofactor, [(q, vectors)]):
+                        elif not holds(cert, cert.target, cert.cofactor, [(q, unpack(buffer))]):
                             yield f"unit certificate failed at ({beta},{gamma},t={t},q={q})"
-                        elif not holds(cert, None, cert.pivot_inverse, [(q, vectors)]):
+                        elif not holds(cert, None, cert.pivot_inverse, [(q, unpack(buffer))]):
                             yield f"pivot inverse wrong at ({beta},{gamma},t={t},q={q})"
                         else:
                             yield None

@@ -182,9 +182,9 @@ def _locus_points(args):
 
 
 def _cmd_enumerate(args) -> int:
-    text = {}  # points share rows (upper ones within a fill, the last within a cell)
+    text = {}  # by id: points share rows (upper ones within a fill, the last within a cell), kept alive
     for point in _locus_points(args):
-        print("  ".join([text.get(row) or text.setdefault(row, " ".join(map(str, row))) for row in point.rows]))
+        print("  ".join([text.get(id(r)) or text.setdefault(id(r), " ".join(map(str, r))) for r in point.rows]))
     return 0
 
 

@@ -125,17 +125,18 @@ class SubsetFamily(Immutable):
         mem = frozenset(members)
         if mem:
             first = next(iter(mem))
-            k = first.k if k is None else k
-            n = first.n if n is None else n
-            for m in mem:
-                if m.k != k or m.n != n:
-                    raise ParameterError("family members must share (k, n)")
+            k, n = first.k if k is None else k, first.n if n is None else n
+            if any(m.k != k or m.n != n for m in mem):
+                raise ParameterError("family members must share (k, n)")
         elif k is None or n is None:
             raise ParameterError("an empty family needs explicit (k, n)")
-        object.__setattr__(self, "members", mem)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash((mem, k, n)))
+        self._set(mem, k, n)
+
+    def _set(self, members: frozenset[KSubset], k: int, n: int) -> "SubsetFamily":
+        """Fill the slots, checking nothing: ``interval`` and its subfamilies are built this way."""
+        for slot, value in zip(self.__slots__, (members, k, n, hash((members, k, n)))):
+            object.__setattr__(self, slot, value)
+        return self
 
     def __contains__(self, alpha: KSubset) -> bool:
         return alpha in self.members
@@ -231,7 +232,8 @@ def subset_leq(a: KSubset, b: KSubset) -> bool:
 def interval(beta: KSubset, gamma: KSubset) -> SubsetFamily:
     """All alpha with beta <= alpha <= gamma; an error if beta is not <= gamma."""
     bits = bin(_interval_mask(beta, gamma))[:1:-1]  # bit i first, for the i-th subset in lex order
-    return SubsetFamily(itertools.compress(enumerate_subsets(beta.k, beta.n), map(int, bits)), beta.k, beta.n)
+    members = frozenset(itertools.compress(enumerate_subsets(beta.k, beta.n), map(int, bits)))
+    return object.__new__(SubsetFamily)._set(members, beta.k, beta.n)  # members of S(k, n) need no check
 
 
 @lru_cache(maxsize=None)
@@ -312,17 +314,16 @@ def p_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     Empty exactly when the window is an empty integer interval.
     """
     lo, hi = _window(beta, gamma, t)
-    fam = interval(beta, gamma)
-    members = [a for a in fam.members if _meets(a, lo, hi)]
-    return SubsetFamily(members, beta.k, beta.n)
+    members = frozenset(a for a in interval(beta, gamma).members if _meets(a, lo, hi))
+    return object.__new__(SubsetFamily)._set(members, beta.k, beta.n)
 
 
 def p_set_complement(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """Members of [beta, gamma] avoiding the window [beta(t+1), gamma(t)]."""
     fam = interval(beta, gamma)
     lo, hi = _window(beta, gamma, t)
-    members = [a for a in fam.members if not _meets(a, lo, hi)]
-    return SubsetFamily(members, beta.k, beta.n)
+    members = frozenset(a for a in fam.members if not _meets(a, lo, hi))
+    return object.__new__(SubsetFamily)._set(members, beta.k, beta.n)
 
 
 def avoids_window(alpha: KSubset, beta: KSubset, gamma: KSubset, t: int) -> bool:
@@ -338,8 +339,7 @@ def avoids_window(alpha: KSubset, beta: KSubset, gamma: KSubset, t: int) -> bool
 
 def i_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """All of S(k, n) meeting the window [beta(t+1), gamma(t)]."""
-    if not subset_leq(beta, gamma):
-        raise EmptyIntervalError(f"{beta} is not componentwise <= {gamma}")
+    _interval_mask(beta, gamma)  # an EmptyIntervalError before the window's errors
     lo, hi = _window(beta, gamma, t)
     members = [a for a in enumerate_subsets(beta.k, beta.n) if _meets(a, lo, hi)]
     return SubsetFamily(members, beta.k, beta.n)
@@ -380,8 +380,7 @@ def sigma_sets(
     below covers under gamma); the union is the locus removed from the
     closed interval variety to cut out the banded-parameterization piece.
     """
-    if not subset_leq(beta, gamma):
-        raise EmptyIntervalError(f"{beta} is not componentwise <= {gamma}")
+    _interval_mask(beta, gamma)  # an EmptyIntervalError for an incomparable pair
     k = beta.k
     sigma0 = set()
     for t in range(1, k):

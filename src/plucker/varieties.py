@@ -210,22 +210,22 @@ def _cell(k: int, n: int, q: int, pivot: KSubset) -> tuple[GrPoint, ...]:
 
 
 @lru_cache(maxsize=None)
-def _strata(k: int, n: int, q: int, beta: KSubset) -> Mapping[KSubset, tuple[array, ...]]:
+def _strata(k: int, n: int, q: int, beta: KSubset) -> Mapping[KSubset, array]:
     """The open strata (beta, gamma) that the cell of ``beta`` splits into, read-only:
-    each gamma mapped to the residue vectors of its points, in the order of ``_cell``,
-    each an ``array`` of format ``_lane(q)``.  It reads ``_fills`` and builds no point."""
+    each gamma mapped to one ``array`` of format ``_lane(q)``, the residue vectors of its
+    points, N = C(n, k) lanes each, in the order of ``_cell``.  It builds no point."""
     fmt, N = _lane(q), math.comb(n, k)
-    strata: dict[KSubset, list[array]] = {}
-    lists: dict[bytes, list[array]] = {}  # each flag slice mapped to its stratum's list
+    size = N * struct.calcsize(fmt)
+    strata: dict[KSubset, array] = {}
+    buffers: dict[bytes, array] = {}  # each flag slice mapped to its stratum's buffer
     for *_, residues, flags in _fills(k, n, q, beta):
-        lanes = array(fmt, residues)
-        for at, start in zip(range(len(flags) - N, -1, -N), range(0, len(lanes), N)):
+        for at, start in zip(range(len(flags) - N, -1, -N), range(0, len(residues), size)):
             bits = flags[at : at + N]
-            vectors = lists.get(bits)
-            if vectors is None:
-                vectors = lists[bits] = strata.setdefault(_top(beta, int(bits, 2)), [])
-            vectors.append(lanes[start : start + N])
-    return MappingProxyType({gamma: tuple(vectors) for gamma, vectors in strata.items()})
+            buffer = buffers.get(bits)
+            if buffer is None:
+                buffer = buffers[bits] = strata.setdefault(_top(beta, int(bits, 2)), array(fmt))
+            buffer.frombytes(residues[start : start + size])
+    return MappingProxyType(strata)
 
 
 def _top(lo: KSubset, support: int) -> KSubset:

@@ -1,5 +1,6 @@
 import random
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -748,9 +749,12 @@ class TestStratumVectors:
     def stratum(beta, gamma, seed):
         """The (q, int vectors) groups the claims read for one stratum, and the
         matching PluckerVectors, group by group."""
-        from plucker.varieties import _strata
+        from plucker.varieties import _lane, _strata
 
-        groups = [(q, _strata(beta.k, beta.n, q, beta).get(gamma, ())) for q in (2, 3)]
+        N, groups = len(enumerate_subsets(beta.k, beta.n)), []
+        for q in (2, 3):  # each packed stratum unpacked into its vectors, in order
+            buffer = _strata(beta.k, beta.n, q, beta).get(gamma, b"")
+            groups.append((q, list(struct.iter_unpack(f"{N}{_lane(q)}", buffer))))
         points = [[p.plucker for p in open_richardson_points(beta, gamma, q)] for q, _ in groups]
         rng = random.Random(seed)
         ys = [sample_y(beta, gamma, QQ, rng) for _ in range(4)]

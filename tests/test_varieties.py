@@ -1,5 +1,8 @@
 import itertools
 import random
+import struct
+import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -417,23 +420,61 @@ class TestCensus:
 
 
 class TestStrata:
-    """A cell's open strata hold the packed residue vectors of its points, and
-    Lem4 and Cor5 read them without building a point."""
+    """A cell's open strata each hold one packed buffer of the residue vectors of
+    their points, and Lem4 and Cor5 read them without building a point."""
+
+    @staticmethod
+    def corrupt(monkeypatch, q, beta, gamma, index, image):
+        """Make ``claims`` read the open stratum (beta, gamma) of Gr(2,4)/GF(q) from a copy
+        of its packed buffer whose lane ``index`` holds ``image`` of its value."""
+        from plucker import claims
+        from plucker.varieties import _strata
+
+        def corrupted(k, n, p, pivot):
+            strata = _strata(k, n, p, pivot)
+            if (k, n, p, pivot) != (2, 4, q, beta):
+                return strata
+            buffer = array(strata[gamma].typecode, strata[gamma])  # a copy: the cached buffer stays intact
+            buffer[index] = image(buffer[index])
+            return {**strata, gamma: buffer}
+
+        monkeypatch.setattr(claims, "_strata", corrupted)
 
     # GF(257) needs 16-bit lanes (2q > 2^7); the others fit in 8 bits
     @pytest.mark.parametrize("k,n,q", [(2, 4, 2), (2, 4, 3), (3, 5, 2), (3, 6, 2), (2, 3, 257)])
     def test_strata_match_the_buckets(self, k, n, q):
-        from plucker.varieties import _strata
+        from plucker.varieties import _lane, _strata
 
-        got = {}
+        N, got = len(enumerate_subsets(k, n)), {}
         for beta in enumerate_subsets(k, n):
             strata = _strata(k, n, q, beta)
             assert _strata(k, n, q, beta) is strata
             with pytest.raises(TypeError):
-                strata[beta] = ()
-            got.update({(beta, gamma): [tuple(x) for x in vectors] for gamma, vectors in strata.items()})
+                strata[beta] = array(_lane(q))
+            for gamma, buffer in strata.items():
+                assert buffer.typecode == _lane(q) and len(buffer) % N == 0
+                got[beta, gamma] = list(struct.iter_unpack(f"{N}{_lane(q)}", buffer))
         want = {key: [p.residues for p in points] for key, points in richardson_buckets(k, n, q).items()}
         assert list(got.items()) == list(want.items())  # every key, in order, and every vector, in order
+
+    def test_strata_take_about_one_lane_a_coordinate(self):
+        from plucker.varieties import _lane, _strata
+
+        k, n, q = 3, 6, 3
+        subsets = enumerate_subsets(k, n)
+        N = len(subsets)
+        for beta in subsets:  # warm every cache the strata read
+            _strata(k, n, q, beta)
+        _strata.cache_clear()
+        tracemalloc.start()
+        try:
+            lanes = sum(len(b) for beta in subsets for b in _strata(k, n, q, beta).values())
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        points = gaussian_binomial(n, k, q)
+        assert lanes == N * points
+        assert size <= 1.25 * N * struct.calcsize(_lane(q)) * points  # bytes a point, arrays' headers included
 
     def test_lem4_and_cor5_build_no_point(self):
         from plucker import SweepConfig, reports, varieties
@@ -453,26 +494,31 @@ class TestStrata:
         # on the open stratum of ({1,2},{2,4}) Delta_34 vanishes, so
         # Delta_13 Delta_24 = Delta_14 Delta_23, and Delta_13 + 1 breaks it
         from plucker import SweepConfig, claims, reports
-        from plucker.varieties import _strata
 
-        beta, gamma, at = ks((1, 2), 4), ks((2, 4), 4), 1  # Delta_13 is the second coordinate
-
-        def corrupted(k, n, q, pivot):
-            strata = _strata(k, n, q, pivot)
-            if (k, n, q, pivot) != (2, 4, 3, beta):
-                return strata
-            first, *rest = strata[gamma]
-            first = type(first)(first.typecode, first)  # a copy: the cached vector stays intact
-            first[at] = (first[at] + 1) % q
-            return {**strata, gamma: (first, *rest)}
-
-        monkeypatch.setattr(claims, "_strata", corrupted)
+        beta, gamma, q = ks((1, 2), 4), ks((2, 4), 4), 3
+        self.corrupt(monkeypatch, q, beta, gamma, 1, lambda x: (x + 1) % q)  # Delta_13 of the first point
         cfg = SweepConfig(k_range=(2, 2), n_range=(4, 4), rational_samples=5).validate()
         (report,) = claims.run_all(cfg, ("Lem4-certificates",)).claims
         assert report.verdict == reports.FAIL
         assert report.witness == "certificate failed for {1,3} at ({1,2},{2,4},t=1)"
         monkeypatch.undo()
         assert claims.run_all(cfg, ("Lem4-certificates",)).claims[0].verdict == reports.PASS
+
+    def test_a_zeroed_pivot_lane_fails_cor5(self, monkeypatch):
+        # the unit certificate of ({1,2},{1,4}) inverts Delta_14, the third coordinate;
+        # zero it at the last point of the stratum over GF(3)
+        from plucker import SweepConfig, claims, reports
+        from plucker.varieties import _strata
+
+        beta, gamma, q = ks((1, 2), 4), ks((1, 4), 4), 3
+        last = len(_strata(2, 4, q, beta)[gamma]) - 6
+        self.corrupt(monkeypatch, q, beta, gamma, last + 2, lambda x: 0)
+        cfg = SweepConfig(k_range=(2, 2), n_range=(4, 4), rational_samples=5).validate()
+        (report,) = claims.run_all(cfg, ("Cor5-unit",)).claims
+        assert report.verdict == reports.FAIL
+        assert report.witness == "pivot {1,4} vanishes on the open stratum at ({1,2},{1,4},q=3)"
+        monkeypatch.undo()
+        assert claims.run_all(cfg, ("Cor5-unit",)).claims[0].verdict == reports.PASS
 
 
 class TestSetCheckFailures:
