@@ -11,7 +11,11 @@ gamma), exchange that element into alpha, divide by the unit
 Delta_beta (or Delta_gamma), drop terms whose indices leave the interval,
 and recurse on the strictly smaller surviving indices.  The mixed
 componentwise order (increasing on 1..t, decreasing on t+1..k) makes the
-recursion well-founded with the pivot as unique minimum.
+recursion well-founded with the pivot as unique minimum.  The recursion
+runs on lex positions (``_cofactor``): its terms are ((position, power),
+...) monomials with int coefficients, from which the claims compile their
+identities directly and the public certificates build their
+``LaurentExpression``.
 
 Signs of the exchange relations follow the shuffle convention (parity of
 sorting the modified index sequences).  Each relation is checked the first
@@ -34,7 +38,10 @@ with monomials m_i of nonnegative powers.  Either identity is
 homogeneous of one degree, so it holds at a minor vector exactly when it
 holds at any nonzero multiple of that vector, where the inverted coordinates
 do not vanish.  A GF(q) point is read as its residues and compared mod q; a
-rational point as a nonzero int multiple of it, compared exactly.  The
+rational point as a nonzero int multiple of it, compared exactly.  Points
+are read as columns, column i the i-th coordinate of every point, and one
+evaluator (``_values``) sums each compiled term over whole columns with
+C-level ``map`` pipelines.  The
 rational points of the banded piece are the int minors of a banded matrix
 itself: its gamma-column block G is lower unipotent, so ``phi`` (which
 left-multiplies by G^-1) changes no maximal minor, as det G = 1.
@@ -47,7 +54,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Sequence
 
 from .errors import EvaluationError, Immutable, ParameterError, ParseError, as_int, ascii_int
@@ -128,10 +135,6 @@ class LaurentExpression(Immutable):
         object.__setattr__(
             self, "terms", tuple(acc[key] for key in sorted(acc))
         )
-
-    @classmethod
-    def zero(cls) -> "LaurentExpression":
-        return cls([])
 
     @classmethod
     def one(cls) -> "LaurentExpression":
@@ -254,7 +257,7 @@ def _exchange_terms(
 
 class _Poly(dict):
     """An int polynomial, sorted variable tuples to nonzero ints, with only what
-    ``_minors`` and ``_value`` use: ``+``, ``*`` (ints on either side), ``**``, truth."""
+    ``_minors`` and ``_values`` use: ``+``, ``-``, ``*`` (ints on either side), ``**``, truth."""
 
     __slots__ = ()
 
@@ -271,6 +274,15 @@ class _Poly(dict):
         return _Poly((tuple(sorted(m + m2)), c * c2) for m, c in self.items() for m2, c2 in _items(other))
 
     __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return _Poly((m, -c) for m, c in self.items())
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return other + -self
 
     def __pow__(self, e: int):
         return reduce(operator.mul, [self] * e)
@@ -305,9 +317,9 @@ def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentEx
         + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
     )
     k, n = alpha.k, alpha.n
-    # no inverse, so D = 1 (see ``_clear``)
-    compiled = _clear(relation.terms, _subset_positions(k, n))[1]
-    if not vanishes(compiled, [_chart_minors(k, n)]):
+    # no inverse, so D = 1 (see ``_clear``); the chart is one point, as one-entry columns
+    compiled = _clear(_positional(relation.terms, _subset_positions(k, n)))[1]
+    if not vanishes(compiled, [[m] for m in _chart_minors(k, n)]):
         raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
     return relation, terms, compiled
 
@@ -336,8 +348,8 @@ def compiled_relations(k: int, n: int) -> tuple[tuple, ...]:
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
     """True iff every quadratic exchange relation vanishes at ``p``."""
-    x, q = _ints(p, p.k, p.n), p.field.characteristic
-    return all(vanishes(terms, [x], q) for terms in compiled_relations(p.k, p.n))
+    columns, q = [[x] for x in _ints(p, p.k, p.n)], p.field.characteristic
+    return all(vanishes(terms, columns, q) for terms in compiled_relations(p.k, p.n))
 
 
 def plucker_relation(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression:
@@ -401,33 +413,57 @@ class Certificate:
         return (self.beta, self.gamma, self.t)
 
 
+def _times(mono: tuple, *factors: tuple[int, int]) -> tuple:
+    """The positional monomial ``mono`` times the (position, power) ``factors``: its
+    nonzero powers, sorted by position, as ``LaurentExpression`` sorts its symbols."""
+    powers = dict(mono)
+    for p, e in factors:
+        powers[p] = powers.get(p, 0) + e
+    return tuple(sorted(pe for pe in powers.items() if pe[1]))
+
+
 @lru_cache(maxsize=None)
-def _cofactor(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> LaurentExpression:
-    pivot = delta(beta, gamma, t)
-    if alpha == pivot:
-        return LaurentExpression.one()
-    k = alpha.k
-    i = next((i for i in range(1, t + 1) if alpha(i) > beta(i)), None)
+def _cofactor(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> tuple:
+    """The cofactor e_alpha of  Delta_alpha = Delta_pivot * e_alpha  on lex positions:
+    ((monomial, c), ...) with nonzero int c, each monomial a tuple of (position,
+    nonzero power) pairs, both sorted, so in the order of ``LaurentExpression`` terms."""
+    a, b, g = alpha.elements, beta.elements, gamma.elements
+    if a == b[:t] + g[t:]:  # the pivot delta(beta, gamma, t)
+        return (((), 1),)
+    i = next((i for i in range(t) if a[i] > b[i]), None)
     if i is not None:
-        anchor, exchanged = beta, beta(i)
+        anchor, exchanged = beta, b[i]
     else:
-        i = next((i for i in range(k, t, -1) if alpha(i) < gamma(i)), None)
+        i = next((i for i in range(len(a) - 1, t - 1, -1) if a[i] < g[i]), None)
         if i is None:
-            raise RuntimeError(f"{alpha} differs from {pivot} yet matches beta and gamma")
-        anchor, exchanged = gamma, gamma(i)
-    order = PrecedesT(beta, gamma, t)
-    inv = PluckerSymbol(anchor, -1)
-    acc = LaurentExpression.zero()
+            raise RuntimeError(f"{alpha} differs from {delta(beta, gamma, t)} yet matches beta and gamma")
+        anchor, exchanged = gamma, g[i]
+    lo, hi = b[t], g[t - 1]  # the window [beta(t+1), gamma(t)]
     inside = _interval_mask(beta, gamma)  # bit i set when the i-th subset lies in [beta, gamma]
-    pos = _subset_positions(k, alpha.n)
+    pos = _subset_positions(len(a), alpha.n)
+    inverse = (pos[anchor.elements], -1)
+    acc: dict[tuple, int] = {}
     for sign, a_new, b_new in _checked_exchange(alpha, anchor, exchanged)[1]:
-        if not inside >> pos[a_new.elements] & 1 or not inside >> pos[b_new.elements] & 1:
+        p = pos[b_new.elements]
+        if not inside >> pos[a_new.elements] & 1 or not inside >> p & 1:
             continue
-        if not (order.leq(a_new, alpha) and a_new != alpha):
+        # a_new must avoid the window and lie strictly below alpha in PrecedesT's order
+        x = a_new.elements
+        if x == a or any(lo <= e <= hi for e in x) or not (
+            all(map(operator.le, x[:t], a[:t])) and all(map(operator.ge, x[t:], a[t:]))
+        ):
             raise RuntimeError(f"exchange produced {a_new}, not strictly below {alpha}")
-        sub = _cofactor(beta, gamma, t, a_new)
-        acc = acc + sub.times_term(sign, (PluckerSymbol(b_new), inv))
-    return acc
+        for mono, c in _cofactor(beta, gamma, t, a_new):
+            key = _times(mono, (p, 1), inverse)
+            acc[key] = acc.get(key, 0) + sign * c
+    return tuple(sorted(term for term in acc.items() if term[1]))
+
+
+@lru_cache(maxsize=None)
+def _expression(terms: tuple, k: int, n: int) -> LaurentExpression:
+    """The positional ``terms`` of ``_cofactor`` as a ``LaurentExpression``, one object per cofactor."""
+    subsets = enumerate_subsets(k, n)
+    return LaurentExpression([(c, [PluckerSymbol(subsets[p], e) for p, e in mono]) for mono, c in terms])
 
 
 def principal_certificate(
@@ -438,7 +474,7 @@ def principal_certificate(
         raise ParameterError(f"{alpha} has (k, n) = {alpha.k, alpha.n}, but beta {beta} has {beta.k, beta.n}")
     if not avoids_window(alpha, beta, gamma, t):
         raise ParameterError(f"{alpha} does not avoid the window of ({beta}, {gamma}, t={t})")
-    cof = _cofactor(beta, gamma, t, alpha)
+    cof = _expression(_cofactor(beta, gamma, t, alpha), beta.k, beta.n)
     cof.validate_localized(beta, gamma)
     return Certificate(
         target=alpha, pivot=delta(beta, gamma, t), cofactor=cof, beta=beta, gamma=gamma, t=t
@@ -459,26 +495,37 @@ def unit_certificate(beta: KSubset, gamma: KSubset, t: int) -> Certificate:
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}  # one shared tuple per (position, power)
 
 
-def _clear(sides, pos: dict):
-    """The identity  sum of c * monomial = 0  over the (int c, symbols) ``sides``,
-    times D, the product of the inverted coordinates, each to its largest
-    inverse power.  Returns (inverted, terms): the lex positions (by ``pos``)
-    inverted, and one (c, ((position, power >= 1), ...)) term per side, its
-    pairs shared through ``_PAIRS``."""
+def _positional(terms, pos: dict) -> list[tuple[int, tuple]]:
+    """(c, symbols) ``terms`` as (c, ((position, power), ...)), positions by ``pos``."""
+    return [(c, tuple((pos[s.index.elements], s.power) for s in symbols)) for c, symbols in terms]
+
+
+def _clear(sides):
+    """The identity  sum of c * monomial = 0  over the positional (int c,
+    ((position, power), ...)) ``sides``, times D, the product of the inverted
+    coordinates, each to its largest inverse power.  Returns (inverted, terms):
+    the positions inverted, and one (c, ((position, power >= 1), ...)) term per
+    side, its pairs shared through ``_PAIRS``."""
     inverse: dict[int, int] = {}
-    for _, symbols in sides:
-        for s in symbols:
-            if s.power < 0:
-                p = pos[s.index.elements]
-                inverse[p] = max(inverse.get(p, 0), -s.power)
+    for _, mono in sides:
+        for p, e in mono:
+            if e < 0:
+                inverse[p] = max(inverse.get(p, 0), -e)
     terms = []
-    for c, symbols in sides:
+    for c, mono in sides:
         powers = dict(inverse)
-        for s in symbols:
-            p = pos[s.index.elements]
-            powers[p] = powers.get(p, 0) + s.power
+        for p, e in mono:
+            powers[p] = powers.get(p, 0) + e
         terms.append((c, tuple(_PAIRS.setdefault(pe, pe) for pe in powers.items() if pe[1])))
     return tuple(inverse), tuple(terms)
+
+
+def _identity(lhs: int | None, pivot: int, terms) -> tuple:
+    """``Delta_lhs = Delta_pivot * sum_i c_i * m_i`` (``1 = ...`` when ``lhs`` is None)
+    over lex positions, ``terms`` its (m_i, c_i) pairs, compiled by ``_clear``."""
+    sides = [(1, () if lhs is None else ((lhs, 1),))]
+    sides += [(-c, ((pivot, 1),) + mono) for mono, c in terms]
+    return _clear(sides)
 
 
 def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
@@ -494,10 +541,28 @@ def _compile(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression):
         if degree != want:
             body = "*".join(map(str, mono)) or "1"
             raise ParameterError(f"monomial {body} has degree {degree}, not {want}")
-    pivot = PluckerSymbol(cert.pivot)
-    sides = [(1, () if lhs is None else (PluckerSymbol(lhs),))]
-    sides += [(-c, (pivot,) + mono) for c, mono in expr.terms]
-    return _clear(sides, _subset_positions(cert.beta.k, cert.beta.n))
+    pos = _subset_positions(cert.beta.k, cert.beta.n)
+    terms = [(mono, c) for c, mono in _positional(expr.terms, pos)]
+    return _identity(None if lhs is None else pos[lhs.elements], pos[cert.pivot.elements], terms)
+
+
+def _principal_identity(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> tuple:
+    """``_compile`` of ``principal_certificate(beta, gamma, t, alpha)``'s identity, from
+    ``_cofactor`` without building the certificate; alpha must avoid the window."""
+    pos = _subset_positions(beta.k, beta.n)
+    pivot = pos[beta.elements[:t] + gamma.elements[t:]]  # delta(beta, gamma, t)
+    return _identity(pos[alpha.elements], pivot, _cofactor(beta, gamma, t, alpha))
+
+
+def _unit_identities(beta: KSubset, gamma: KSubset, t: int) -> tuple[tuple, tuple]:
+    """``_compile`` of ``unit_certificate(beta, gamma, t)``'s identity and of its pivot
+    inverse, from ``_cofactor`` without building the certificate; the window family
+    must be empty."""
+    pos = _subset_positions(beta.k, beta.n)
+    b, pivot = pos[beta.elements], pos[beta.elements[:t] + gamma.elements[t:]]  # delta(beta, gamma, t)
+    cofactor = _cofactor(beta, gamma, t, beta)
+    inverse = sorted((_times(mono, (b, -1)), c) for mono, c in cofactor)
+    return _identity(b, pivot, cofactor), _identity(None, pivot, inverse)
 
 
 def _ints(point: PluckerVector, k: int, n: int) -> list[int]:
@@ -512,46 +577,68 @@ def _ints(point: PluckerVector, k: int, n: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _value(terms, x) -> int:
-    """The sum of the compiled ``terms`` at the int coordinates ``x`` (by position)."""
-    total = 0
+def _values(terms, columns):
+    """The sums of the compiled ``terms`` at every point of ``columns``, where
+    ``columns[i]`` holds the i-th coordinate of every point: an iterator over the
+    points, each term one pipeline of ``map`` over whole columns."""
+    size = len(columns[0])
+    total = itertools.repeat(0, size)
     for c, mono in terms:
-        for i, e in mono:
-            c *= x[i] ** e
-        total += c
+        factors = [columns[i] if e == 1 else map(pow, columns[i], itertools.repeat(e)) for i, e in mono]
+        if c not in (1, -1) or not factors:  # else c is only the sign of the term
+            factors.append(itertools.repeat(c, size))
+            c = 1
+        product = reduce(partial(map, operator.mul), factors)
+        total = map(operator.add if c == 1 else operator.sub, total, product)
     return total
 
 
-def vanishes(terms, vectors, q: int = 0) -> bool:
-    """Whether the compiled ``terms`` sum to 0 at every int vector of
-    ``vectors``, compared mod q when q is nonzero."""
-    return not any(_value(terms, x) % q if q else _value(terms, x) for x in vectors)
+def _failure(terms, columns, q: int = 0) -> int | None:
+    """The index of the first point of ``columns`` where the compiled ``terms`` do
+    not sum to 0, compared mod q when q is nonzero; None when they vanish at every point."""
+    values = _values(terms, columns)
+    return next(itertools.compress(itertools.count(), map(q.__rmod__, values) if q else values), None)
+
+
+def vanishes(terms, columns, q: int = 0) -> bool:
+    """Whether the compiled ``terms`` sum to 0 at every point of ``columns``
+    (``columns[i]`` the i-th coordinate of every point), mod q when q is nonzero."""
+    return _failure(terms, columns, q) is None
+
+
+def _holds(identity, groups, k: int, n: int) -> bool:
+    """Whether the compiled ``identity``, an (inverted, terms) pair of Gr(k, n), holds
+    at every point of ``groups``, (q, columns) pairs compared mod q when q is nonzero.
+    Groups are read in order, up to the first failure; within a group, the earlier
+    of its first failing point and its first point where an inverted coordinate
+    vanishes decides: False, or an EvaluationError."""
+    inverted, terms = identity
+    for q, columns in groups:
+        failing = _failure(terms, columns, q)
+        zeros = [(columns[p].index(0), p) for p in inverted if 0 in columns[p]]
+        if zeros and (failing is None or min(zeros)[0] <= failing):
+            at, p = min(zeros)
+            point = [column[at] for column in columns]
+            raise EvaluationError(f"coordinate {enumerate_subsets(k, n)[p]} vanishes but is inverted at {point}")
+        if failing is not None:
+            return False
+    return True
 
 
 def holds(cert: Certificate, lhs: KSubset | None, expr: LaurentExpression, groups) -> bool:
-    """Whether  Delta_lhs = Delta_pivot * expr  (``_compile``) holds at every int
-    vector of ``groups``, (q, vectors) pairs compared mod q when q is nonzero.
-    Vectors are read in order, up to the first failure; an inverted coordinate
-    that vanishes raises EvaluationError."""
-    inverted, terms = _compile(cert, lhs, expr)
-
-    def checked(vectors):
-        for x in vectors:
-            for p in inverted:
-                if not x[p]:
-                    index = enumerate_subsets(cert.beta.k, cert.beta.n)[p]
-                    raise EvaluationError(f"coordinate {index} vanishes but is inverted at {list(x)}")
-            yield x
-
-    return all(vanishes(terms, checked(vectors), q) for q, vectors in groups)
+    """Whether  Delta_lhs = Delta_pivot * expr  (``_compile``) holds at every point
+    of ``groups``, (q, columns) pairs with ``columns[i]`` the i-th int coordinate of
+    every point, compared mod q when q is nonzero.  Points are read in order, up
+    to the first failure; an inverted coordinate that vanishes raises EvaluationError."""
+    return _holds(_compile(cert, lhs, expr), groups, cert.beta.k, cert.beta.n)
 
 
 def _groups(cert: Certificate, points: Iterable[PluckerVector]):
-    """``points`` as ``holds`` reads them: a (q, int vectors) group per run of
-    one characteristic, each point converted once, when it is reached."""
+    """``points`` as ``holds`` reads them: a (q, columns) group per run of one
+    characteristic, its points converted once and transposed when it is reached."""
     k, n = cert.beta.k, cert.beta.n
     for q, run in itertools.groupby(points, operator.attrgetter("field.characteristic")):
-        yield q, (_ints(point, k, n) for point in run)
+        yield q, list(zip(*(_ints(point, k, n) for point in run)))
 
 
 def verify_certificate(cert: Certificate, points: Iterable[PluckerVector]) -> bool:

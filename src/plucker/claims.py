@@ -12,18 +12,18 @@ witnesses change only with the seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-import struct
 import time
 from operator import itemgetter
 
 from . import __version__
 from .certificates import (
+    _holds,
+    _principal_identity,
+    _unit_identities,
     compiled_relations,
-    holds,
-    principal_certificate,
     relation_table,
-    unit_certificate,
     vanishes,
     verify_certificate,  # noqa: F401  (perfbench's tracer test reads it here)
 )
@@ -33,10 +33,9 @@ from .fields import QQ, PrimeField
 from .matrices import YShape, enumerate_y, pair_minors, phi, psi, sample_y, sample_y_minors, w_membership
 from .permutations import verify_positroidset
 from .reports import FAIL, PASS, SKIP, ClaimReport, RunReport
-from .subsets import _subset_positions, enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
+from .subsets import _subset_positions, delta, enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
 from .varieties import (
     _check_budget,
-    _lane,
     _strata,
     divisor_spec,
     expected_open_dimension,
@@ -98,10 +97,16 @@ def _fitting_primes(k: int, n: int, primes, budget: int, notes: list[str]):
 
 
 def _open_strata(k: int, n: int, beta, cfg, notes: list[str]):
-    """(q, unpack, strata) per fitting q: the open strata of the cell of ``beta``, and their reader."""
-    N = len(enumerate_subsets(k, n))
-    primes = _fitting_primes(k, n, cfg.primes, cfg.budget, notes)
-    return [(q, struct.Struct(f"{N}{_lane(q)}").iter_unpack, _strata(k, n, q, beta)) for q in primes]
+    """(q, strata) per fitting q: the open strata of the cell of ``beta``, each gamma
+    mapped to its packed buffer."""
+    return [(q, _strata(k, n, q, beta)) for q in _fitting_primes(k, n, cfg.primes, cfg.budget, notes)]
+
+
+def _columns(strata, gamma, N: int) -> list:
+    """The open stratum (beta, gamma) of ``strata`` sliced once into its N columns: column
+    p holds lane p, the p-th coordinate, of every point; no point gives empty columns."""
+    buffer = strata.get(gamma, b"")
+    return [buffer[p::N] for p in range(N)]
 
 
 @_claim("Eq1-relations")
@@ -120,6 +125,7 @@ def claim_relations(cfg, rng, notes):
             pair_minors([[QQ.random_pair(rng) for _ in range(n)] for _ in range(k)], n)[0]
             for _ in range(cfg.matrix_samples)
         ]
+        samples = list(zip(*samples))  # column i: the i-th minor of every matrix
         for rel, terms in zip(table, compiled_relations(k, n)):
             if not vanishes(terms, samples):
                 yield f"(k={k},n={n}): relation {rel!r} nonzero"
@@ -187,25 +193,27 @@ def claim_thm6_positroidset(cfg, rng, notes):
 def claim_lem4_certificates(cfg, rng, notes):
     """Window-avoiding interval members all admit certificates, and every
     certificate holds at every enumerated finite-field point of the open
-    stratum and at seeded rational points of the inverted piece."""
+    stratum and at seeded rational points of the inverted piece.  Each
+    certificate is checked in compiled form, built on lex positions."""
     for k, n in cfg.grassmannians():
         if k < 2:
             continue
+        N = math.comb(n, k)
         for beta, pairs in itertools.groupby(iter_comparable_pairs(k, n), itemgetter(0)):
             cells = _open_strata(k, n, beta, cfg, notes)
             for _, gamma in pairs:
                 # int minors of banded matrices, which phi would not change (see certificates)
                 shape = YShape(beta, gamma)
-                rational = (0, [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)])
+                draws = [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)]
+                groups = [(q, _columns(strata, gamma, N)) for q, strata in cells] + [(0, list(zip(*draws)))]
                 for t in range(1, k):
                     for alpha in p_set_complement(beta, gamma, t):
                         try:
-                            cert = principal_certificate(beta, gamma, t, alpha)
+                            identity = _principal_identity(beta, gamma, t, alpha)
                         except (ParameterError, RuntimeError) as exc:
                             yield f"no certificate for {alpha} at ({beta},{gamma},t={t}): {exc}"
                             continue
-                        groups = [(q, unpack(cell.get(gamma, b""))) for q, unpack, cell in cells] + [rational]
-                        if holds(cert, cert.target, cert.cofactor, groups):
+                        if _holds(identity, groups, k, n):
                             yield None
                         else:
                             yield f"certificate failed for {alpha} at ({beta},{gamma},t={t})"
@@ -223,16 +231,17 @@ def claim_cor5_unit(cfg, rng, notes):
             # every beta reads its cells: the window of (beta, beta) is empty at every t
             cells = _open_strata(k, n, beta, cfg, notes)
             for _, gamma in pairs:
-                units = [unit_certificate(beta, gamma, t) for t in range(1, k) if not len(p_set(beta, gamma, t))]
-                for cert in units:
-                    pivot, t, at = cert.pivot, cert.t, positions[cert.pivot.elements]
-                    for q, unpack, cell in cells:
-                        buffer = cell.get(gamma, b"")
-                        if 0 in buffer[at :: len(positions)]:  # the pivot's lane of every point
+                units = [t for t in range(1, k) if not len(p_set(beta, gamma, t))]
+                stratum = [(q, _columns(strata, gamma, len(positions))) for q, strata in cells] if units else []
+                for t in units:
+                    pivot = delta(beta, gamma, t)
+                    unit, inverse = _unit_identities(beta, gamma, t)
+                    for q, columns in stratum:
+                        if 0 in columns[positions[pivot.elements]]:  # the pivot's lane of every point
                             yield f"pivot {pivot} vanishes on the open stratum at ({beta},{gamma},q={q})"
-                        elif not holds(cert, cert.target, cert.cofactor, [(q, unpack(buffer))]):
+                        elif not _holds(unit, [(q, columns)], k, n):
                             yield f"unit certificate failed at ({beta},{gamma},t={t},q={q})"
-                        elif not holds(cert, None, cert.pivot_inverse, [(q, unpack(buffer))]):
+                        elif not _holds(inverse, [(q, columns)], k, n):
                             yield f"pivot inverse wrong at ({beta},{gamma},t={t},q={q})"
                         else:
                             yield None

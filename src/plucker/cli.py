@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import BudgetError, ConfigError, DecompositionError, ParameterError, ParseError
+from .errors import BudgetError, ConfigError, DecompositionError, ParameterError, ParseError, ascii_int
 from .matrices import format_matrix, parse_matrix, phi, psi
 from .subsets import p_set, parse_subset
 from .varieties import (
@@ -38,6 +38,15 @@ from .varieties import (
 _SPEC_CHOICES = ("grassmannian", "richardson", "open-richardson", "w", "divisor")
 
 
+def _integer(text: str, signed: bool = False) -> int:
+    """An option's ASCII digits, after a ``-`` only if ``signed`` (``errors.ascii_int``);
+    argparse reports any other text and exits 2."""
+    try:
+        return ascii_int(text, signed)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plucker",
@@ -48,19 +57,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("verify-all", help="run every verification claim")
     va.add_argument("--config", help="flat key=value configuration file")
-    va.add_argument("--seed", type=int, help="override the master seed")
+    va.add_argument("--seed", type=lambda text: _integer(text, signed=True), help="override the master seed")
     va.add_argument("--q", help="comma-separated primes, overrides the configured list")
-    va.add_argument("--budget", type=int, help="enumeration budget override")
+    va.add_argument("--budget", type=_integer, help="enumeration budget override")
     va.add_argument("--report", default="plucker_report.json", help="JSON report path")
     va.add_argument(
         "--only", metavar="CLAIM[,CLAIM]", help="run only these claims, reported in the usual order"
     )
 
     cert = sub.add_parser("certificate", help="print one membership certificate")
-    cert.add_argument("--n", type=int, required=True)
+    cert.add_argument("--n", type=_integer, required=True)
     cert.add_argument("--beta", required=True)
     cert.add_argument("--gamma", required=True)
-    cert.add_argument("--t", type=int, required=True)
+    cert.add_argument("--t", type=_integer, required=True)
     cert.add_argument("--alpha", help="target subset; defaults to the unit certificate target")
 
     par = sub.add_parser("param", help="apply the banded/echelon map to a matrix file")
@@ -74,14 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("count", "count the GF(q) points of a locus"),
     ):
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--k", type=int, required=True)
-        cmd.add_argument("--n", type=int, required=True)
-        cmd.add_argument("--q", type=int, required=True)
+        cmd.add_argument("--k", type=_integer, required=True)
+        cmd.add_argument("--n", type=_integer, required=True)
+        cmd.add_argument("--q", type=_integer, required=True)
         cmd.add_argument("--spec", choices=_SPEC_CHOICES, default="grassmannian")
         cmd.add_argument("--beta")
         cmd.add_argument("--gamma")
-        cmd.add_argument("--t", type=int)
-        cmd.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        cmd.add_argument("--t", type=_integer)
+        cmd.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     return parser
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ascii_int
 from .fields import _MAX_PRIME, is_prime
 from .varieties import DEFAULT_BUDGET
 
@@ -61,14 +61,20 @@ class SweepConfig:
         }
 
 
+def _int(text: str, signed: bool = False) -> int:
+    """``errors.ascii_int`` of ``text`` stripped of surrounding whitespace; a
+    ParseError, which ``_apply`` reports as a ConfigError."""
+    return ascii_int(text.strip(), signed)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.replace("..", ":").split(":")
     try:
         if len(parts) == 1:
-            v = int(parts[0])
+            v = _int(parts[0])
             return (v, v)
         if len(parts) == 2:
-            return (int(parts[0]), int(parts[1]))
+            return (_int(parts[0]), _int(parts[1]))
     except ValueError:
         pass
     raise ConfigError(f"bad range {text!r}, expected lo:hi")
@@ -76,19 +82,19 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(_int(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"bad integer list {text!r}") from None
 
 
-_PARSERS = {
+_PARSERS = {  # only the seed may be negative
     "k_range": _parse_range,
     "n_range": _parse_range,
     "primes": _parse_int_list,
-    "rational_samples": int,
-    "matrix_samples": int,
-    "seed": int,
-    "budget": int,
+    "rational_samples": _int,
+    "matrix_samples": _int,
+    "seed": lambda text: _int(text, signed=True),
+    "budget": _int,
 }
 
 

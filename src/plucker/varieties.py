@@ -31,6 +31,7 @@ from .matrices import ExactMatrix, PluckerVector, YShape, _expansion, _minors
 from .subsets import (
     KSubset,
     SubsetFamily,
+    _interval_mask,
     _subset_positions,
     _window,
     cyclic_shift,
@@ -345,10 +346,26 @@ def _outside(family: SubsetFamily) -> frozenset[KSubset]:
     return frozenset(s for s in enumerate_subsets(family.k, family.n) if s not in family)
 
 
+def _interval_spec(beta: KSubset, gamma: KSubset, vanish=(), nonvanish=()) -> VarietySpec:
+    """The spec making every coordinate outside [beta, gamma] and those of ``vanish``
+    vanish and inverting those of ``nonvanish``, built from masks: its frozensets come
+    from them, without the per-member check, as ``SubsetFamily._set`` skips it."""
+    inside = _interval_mask(beta, gamma)  # its errors for a bad pair come first
+    subsets, pos = enumerate_subsets(beta.k, beta.n), _subset_positions(beta.k, beta.n)
+    outside = ~inside & ((1 << len(subsets)) - 1)
+    masks = [outside | sum({1 << pos[s.elements] for s in vanish}), sum({1 << pos[s.elements] for s in nonvanish})]
+    if masks[0] & masks[1]:
+        raise ParameterError("vanishing and non-vanishing constraints overlap")
+    sets = [frozenset(itertools.compress(subsets, map(int, bin(mask)[:1:-1]))) for mask in masks]
+    spec = object.__new__(VarietySpec)
+    for set_slot, value in zip(_spec_setters, (beta.k, beta.n, *sets, *masks)):
+        set_slot(spec, value)
+    return spec
+
+
 def richardson_spec(beta: KSubset, gamma: KSubset, open_: bool = False) -> VarietySpec:
     """Vanishing outside [beta, gamma]; the open version also inverts the endpoints."""
-    nonvanish = frozenset({beta, gamma}) if open_ else frozenset()
-    return VarietySpec(beta.k, beta.n, _outside(interval(beta, gamma)), nonvanish)
+    return _interval_spec(beta, gamma, nonvanish=(beta, gamma) if open_ else ())
 
 
 def positroid_spec(family: SubsetFamily) -> VarietySpec:
@@ -358,15 +375,13 @@ def positroid_spec(family: SubsetFamily) -> VarietySpec:
 
 def w_spec(beta: KSubset, gamma: KSubset) -> VarietySpec:
     """Open interval stratum with every mixed minor inverted."""
-    deltas = frozenset(delta(beta, gamma, i) for i in range(beta.k + 1))
-    return VarietySpec(beta.k, beta.n, _outside(interval(beta, gamma)), deltas)
+    return _interval_spec(beta, gamma, nonvanish=[delta(beta, gamma, i) for i in range(beta.k + 1)])
 
 
 def divisor_spec(beta: KSubset, gamma: KSubset, t: int) -> VarietySpec:
     """The pivot-coordinate zero locus inside the open interval stratum."""
     _window(beta, gamma, t)  # t in 1..k-1: delta is gamma at t = 0 and beta at t = k
-    vanish = _outside(interval(beta, gamma)) | {delta(beta, gamma, t)}
-    return VarietySpec(beta.k, beta.n, vanish, frozenset({beta, gamma}))
+    return _interval_spec(beta, gamma, (delta(beta, gamma, t),), (beta, gamma))
 
 
 def open_richardson_points(

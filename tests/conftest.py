@@ -45,6 +45,46 @@ def evaluate_inverse_verdict(cert, points):
     return all(p[cert.pivot] * evaluate(cert.pivot_inverse, p) == p.field.one for p in points)
 
 
+def compiled_value(terms, x) -> int:
+    """The sum of the compiled ``terms`` at one int vector ``x`` (by position), one
+    point and one term at a time: the reference for the column evaluator."""
+    total = 0
+    for c, mono in terms:
+        for i, e in mono:
+            c *= x[i] ** e
+        total += c
+    return total
+
+
+def holds_point_by_point(identity, groups):
+    """Whether the compiled (inverted, terms) ``identity`` holds at every int vector
+    of ``groups``, (q, vectors) pairs compared mod q when q is nonzero, read one
+    vector at a time up to the first failure: False there, or an EvaluationError
+    naming the lex position where an inverted coordinate vanishes first."""
+    from plucker import EvaluationError
+
+    inverted, terms = identity
+    for q, vectors in groups:
+        for x in vectors:
+            for p in inverted:
+                if not x[p]:
+                    raise EvaluationError(f"position {p} vanishes but is inverted")
+            value = compiled_value(terms, x)
+            if value % q if q else value:
+                return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def value_oracle():
+    return compiled_value
+
+
+@pytest.fixture(scope="session")
+def holds_oracle():
+    return holds_point_by_point
+
+
 @pytest.fixture(scope="session")
 def oracle():
     return evaluate_verdict

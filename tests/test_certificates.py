@@ -1,6 +1,5 @@
 import random
 import re
-import struct
 from fractions import Fraction
 
 import pytest
@@ -46,6 +45,11 @@ from plucker import (
     verify_certificate,
     verify_pivot_inverse,
 )
+
+
+def columns(*vectors):
+    """The int ``vectors`` as ``holds`` reads them: column i holds the i-th coordinate of each."""
+    return list(zip(*vectors))
 
 
 def ks(elems, n):
@@ -189,6 +193,26 @@ class TestPluckerRelation:
             for cache in caches:
                 cache.cache_clear()
         assert len(relation_table(2, 4)) > 0
+
+    def test_an_exchange_term_not_strictly_below_stops_the_recursion(self, monkeypatch):
+        # a pair of cancelling terms leaves each relation, and so the gate, as it was,
+        # but hands the recursion alpha itself, which is not strictly below alpha
+        exchange_terms = certs._exchange_terms
+
+        def padded(alpha, other, b):
+            return exchange_terms(alpha, other, b) + [(1, alpha, other), (-1, alpha, other)]
+
+        caches = (certs._checked_exchange, certs._cofactor)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(certs, "_exchange_terms", padded)
+        try:
+            with pytest.raises(RuntimeError, match=r"exchange produced (\{[0-9,]+\}), not strictly below \1"):
+                principal_certificate(ks((1, 2, 5), 6), ks((3, 4, 6), 6), 2, ks((3, 4, 5), 6))
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
 
     def test_certificate_checks_only_the_exchanges_it_uses(self, monkeypatch):
         # the S(3,6) certificate whose recursion uses the most exchanges
@@ -622,7 +646,7 @@ class TestCompiledIdentity:
 
 class TestIntegerRelations:
     @pytest.mark.parametrize("k,n,empty", [(1, 3, 6), (2, 4, 24), (3, 6, 180)])
-    def test_triples_are_the_relations_empty_ones_included(self, k, n, empty):
+    def test_triples_are_the_relations_empty_ones_included(self, k, n, empty, value_oracle):
         table, compiled = relation_table(k, n), compiled_relations(k, n)
         assert len(table) == len(compiled)
         assert sum(rel.is_zero() for rel in table) == empty
@@ -632,7 +656,7 @@ class TestIntegerRelations:
         point = PluckerVector(k, n, QQ, x)
         for rel, terms in zip(table, compiled):
             assert len(terms) == len(rel.terms)
-            assert certs._value(terms, x) == evaluate(rel, point)
+            assert value_oracle(terms, x) == evaluate(rel, point)
 
     def test_gate_checks_the_relation_it_hands_out(self, monkeypatch):
         # a canonicalisation that loses a term must stop the build
@@ -741,24 +765,24 @@ class TestExactGate:
 
 
 class TestStratumVectors:
-    """The claims' fast path: ``holds`` on int vectors read once per stratum (GF(q)
+    """The claims' fast path: ``holds`` on int columns read once per stratum (GF(q)
     residues and int minors of banded matrices), against ``evaluate`` on the
     matching PluckerVectors (``oracle`` in conftest.py)."""
 
     @staticmethod
     def stratum(beta, gamma, seed):
-        """The (q, int vectors) groups the claims read for one stratum, and the
+        """The (q, int columns) groups the claims read for one stratum, and the
         matching PluckerVectors, group by group."""
-        from plucker.varieties import _lane, _strata
+        from plucker.claims import _columns
+        from plucker.varieties import _strata
 
         N, groups = len(enumerate_subsets(beta.k, beta.n)), []
-        for q in (2, 3):  # each packed stratum unpacked into its vectors, in order
-            buffer = _strata(beta.k, beta.n, q, beta).get(gamma, b"")
-            groups.append((q, list(struct.iter_unpack(f"{N}{_lane(q)}", buffer))))
+        for q in (2, 3):  # each packed stratum sliced into its columns, as the claims read it
+            groups.append((q, _columns(_strata(beta.k, beta.n, q, beta), gamma, N)))
         points = [[p.plucker for p in open_richardson_points(beta, gamma, q)] for q, _ in groups]
         rng = random.Random(seed)
         ys = [sample_y(beta, gamma, QQ, rng) for _ in range(4)]
-        groups.append((0, [integer_minors(y.rows, beta.n)[0] for y in ys]))
+        groups.append((0, columns(*(integer_minors(y.rows, beta.n)[0] for y in ys))))
         points.append(rational_w_points(beta, gamma, 4, seed))
         return groups, points
 
@@ -793,7 +817,7 @@ class TestStratumVectors:
             for lhs, expr, reference in sides:
                 assert holds(cert, lhs, expr, groups) == all(reference(cert, pts) for pts in points) is True
                 for q, x, point in probes:
-                    got = holds(cert, lhs, expr, [(q, [x])])
+                    got = holds(cert, lhs, expr, [(q, columns(x))])
                     assert got == reference(cert, [point]), (cert, point)
                     verdicts[got] += 1
         assert verdicts[True] and verdicts[False]
@@ -823,7 +847,125 @@ class TestStratumVectors:
             vanishing = integer_minors([[int(j == c) for j in range(1, 5)] for c in unit], 4)[0]
             for q in (0, 5):
                 with pytest.raises(EvaluationError, match=re.escape(str(zero))):
-                    holds(cert, cert.target, cert.cofactor, [(q, [vanishing])])
-            assert holds(cert, cert.target, cert.cofactor, [(0, [failing, vanishing])]) is False
+                    holds(cert, cert.target, cert.cofactor, [(q, columns(vanishing))])
+            assert holds(cert, cert.target, cert.cofactor, [(0, columns(failing, vanishing))]) is False
             with pytest.raises(EvaluationError):
-                holds(cert, cert.target, cert.cofactor, [(0, [vanishing, failing])])
+                holds(cert, cert.target, cert.cofactor, [(0, columns(vanishing, failing))])
+
+
+def identities_of(k, n):
+    """(identity, good points) for every compiled relation and every compiled
+    certificate and pivot inverse of S(k, n): the points are int vectors where the
+    identity holds, the minors of int matrices or of banded ones."""
+    rng = random.Random(f"identities:{k}:{n}")
+    minors = [integer_minors([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], n)[0] for _ in range(4)]
+    for terms in compiled_relations(k, n):
+        yield ((), terms), minors
+    for cert in certificates_of(k, n):
+        shape = matrices.YShape(cert.beta, cert.gamma)
+        good = [matrices.sample_y_minors(shape, rng) for _ in range(4)]
+        yield certs._compile(cert, cert.target, cert.cofactor), good
+        if cert.pivot_inverse is not None:
+            yield certs._compile(cert, None, cert.pivot_inverse), good
+
+
+class TestColumnEvaluator:
+    """The column evaluator against the point-by-point oracle of conftest.py, on
+    random int columns: shuffled points where the identity holds and random
+    vectors with small entries, zeros included, so failures and vanishing
+    inverted coordinates come at every index."""
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 5)])
+    def test_first_failure_and_verdict_match_the_oracle(self, k, n, value_oracle, holds_oracle):
+        rng = random.Random(f"columns:{k}:{n}")
+        N = len(enumerate_subsets(k, n))
+        outcomes = set()
+        for identity, good in identities_of(k, n):
+            inverted, terms = identity
+            for q in (0, 2, 3, 5):
+                vectors = good[: rng.randrange(len(good) + 1)]
+                vectors += [[rng.randint(-2, 2) for _ in range(N)] for _ in range(rng.randrange(4))]
+                rng.shuffle(vectors)
+                if not vectors:
+                    continue
+                values = [value_oracle(terms, x) for x in vectors]
+                first = next((i for i, v in enumerate(values) if (v % q if q else v)), None)
+                assert certs._failure(terms, columns(*vectors), q) == first
+                assert certs.vanishes(terms, columns(*vectors), q) == (first is None)
+                try:
+                    want = holds_oracle(identity, [(q, vectors)])
+                except EvaluationError:
+                    want = EvaluationError
+                try:
+                    got = certs._holds(identity, [(q, columns(*vectors))], k, n)
+                except EvaluationError:
+                    got = EvaluationError
+                assert got == want, (identity, q, vectors)
+                outcomes.add(want)
+        assert outcomes == {True, False, EvaluationError}
+
+    def test_constant_terms(self, value_oracle):
+        # 1 - x_0 and 2 - x_0 * x_1^2: a term with no coordinate is a column of its coefficient
+        x = [[1, 2, 1, 0], [1, 1, 1, 1]]
+        for terms in (((1, ()), (-1, ((0, 1),))), ((2, ()), (-1, ((0, 1), (1, 2))))):
+            for q in (0, 2, 3):
+                values = [value_oracle(terms, point) for point in columns(*x)]
+                first = next((i for i, v in enumerate(values) if (v % q if q else v)), None)
+                assert certs._failure(terms, x, q) == first
+
+    def test_groups_are_read_in_order(self, value_oracle, holds_oracle):
+        cert = principal_certificate(ks((1, 3), 4), ks((2, 4), 4), 1, ks((2, 3), 4))
+        identity = certs._compile(cert, cert.target, cert.cofactor)
+        rng = random.Random(3)
+        vanishing = [1, 0, 1, 1, 0, 1]  # Delta_13 = 0, and Delta_13 is inverted
+        failing = next(x for x in ([rng.randint(1, 3) for _ in range(6)] for _ in range(100))
+                       if value_oracle(identity[1], x))
+        for groups in ([(0, [failing]), (0, [vanishing])], [(0, [vanishing]), (0, [failing])]):
+            try:
+                want = holds_oracle(identity, groups)
+            except EvaluationError:
+                want = EvaluationError
+            try:
+                got = certs._holds(identity, [(q, columns(*xs)) for q, xs in groups], 2, 4)
+            except EvaluationError:
+                got = EvaluationError
+            assert got == want
+        assert certs._holds(identity, [(0, columns(failing)), (0, columns(vanishing))], 2, 4) is False
+
+
+class TestPositionalIdentity:
+    """The claims compile certificates straight from ``_cofactor`` on lex positions;
+    that identity is ``_compile`` of the public certificate, term for term."""
+
+    @staticmethod
+    def check(cert):
+        if cert.pivot_inverse is None:
+            got = certs._principal_identity(cert.beta, cert.gamma, cert.t, cert.target)
+            assert got == certs._compile(cert, cert.target, cert.cofactor), cert
+        else:
+            got = certs._unit_identities(cert.beta, cert.gamma, cert.t)
+            want = (certs._compile(cert, cert.target, cert.cofactor), certs._compile(cert, None, cert.pivot_inverse))
+            assert got == want, cert
+
+    def test_every_certificate_up_to_gr36(self):
+        units = total = 0
+        for k in range(2, 4):
+            for n in range(k, 7):
+                for cert in certificates_of(k, n):
+                    self.check(cert)
+                    units += cert.pivot_inverse is not None
+                    total += 1
+        assert (total - units, units) == (1794, 438)
+
+    def test_a_seeded_sample_at_gr48(self):
+        rng = random.Random("positional:4:8")
+        pairs = list(iter_comparable_pairs(4, 8))
+        checked = 0
+        for beta, gamma in rng.sample(pairs, 30):
+            for t in range(1, 4):
+                for alpha in p_set_complement(beta, gamma, t):
+                    self.check(principal_certificate(beta, gamma, t, alpha))
+                    checked += 1
+                if not len(p_set(beta, gamma, t)):
+                    self.check(unit_certificate(beta, gamma, t))
+        assert checked > 100

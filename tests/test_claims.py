@@ -9,7 +9,7 @@ import pytest
 
 import plucker.claims as claims
 import plucker.varieties as varieties
-from plucker import LaurentExpression, SweepConfig, VarietySpec, enumerate_subsets, reports
+from plucker import SweepConfig, VarietySpec, enumerate_subsets, reports
 from plucker.varieties import GrPoint
 
 CFG = SweepConfig(k_range=(2, 3), n_range=(4, 5), rational_samples=5).validate()
@@ -17,17 +17,18 @@ CFG = SweepConfig(k_range=(2, 3), n_range=(4, 5), rational_samples=5).validate()
 
 def test_lem4_fails_on_a_flipped_cofactor_coefficient(monkeypatch):
     checks = claims.claim_lem4_certificates(CFG).params["checks"]
-    build, corrupted = claims.principal_certificate, []
+    build, corrupted = claims._principal_identity, []
 
     def flipped(beta, gamma, t, alpha):
-        cert = build(beta, gamma, t, alpha)
+        inverted, terms = build(beta, gamma, t, alpha)
         if corrupted:
-            return cert
+            return inverted, terms
         corrupted.append(f"certificate failed for {alpha} at ({beta},{gamma},t={t})")
-        (c, mono), *rest = cert.cofactor.terms
-        return dataclasses.replace(cert, cofactor=LaurentExpression([(-c, mono), *rest]))
+        # terms[0] is the target's side, terms[1] the first cofactor term's
+        lhs, (c, mono), *rest = terms
+        return inverted, (lhs, (-c, mono), *rest)
 
-    monkeypatch.setattr(claims, "principal_certificate", flipped)
+    monkeypatch.setattr(claims, "_principal_identity", flipped)
     report = claims.claim_lem4_certificates(CFG)
     assert report.verdict == reports.FAIL
     assert report.witness == corrupted[0]
@@ -36,17 +37,18 @@ def test_lem4_fails_on_a_flipped_cofactor_coefficient(monkeypatch):
 
 def test_cor5_fails_on_a_wrong_pivot_inverse(monkeypatch):
     checks = claims.claim_cor5_unit(CFG).params["checks"]
-    build, corrupted = claims.unit_certificate, []
+    build, corrupted = claims._unit_identities, []
 
     def doubled(beta, gamma, t):
-        cert = build(beta, gamma, t)
+        unit, (inverted, terms) = build(beta, gamma, t)
         if corrupted:
-            return cert
+            return unit, (inverted, terms)
         corrupted.append(f"({beta},{gamma},t={t},q=")
-        # 2 / pivot is wrong over GF(2), GF(3) and QQ alike
-        return dataclasses.replace(cert, pivot_inverse=cert.pivot_inverse.times_term(2, ()))
+        # 2 / pivot is wrong over GF(2), GF(3) and QQ alike: double every term of its side
+        lhs, *rest = terms
+        return unit, (inverted, (lhs, *((2 * c, mono) for c, mono in rest)))
 
-    monkeypatch.setattr(claims, "unit_certificate", doubled)
+    monkeypatch.setattr(claims, "_unit_identities", doubled)
     report = claims.claim_cor5_unit(CFG)
     assert report.verdict == reports.FAIL
     assert report.witness == f"pivot inverse wrong at {corrupted[0]}2)"

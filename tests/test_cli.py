@@ -68,6 +68,21 @@ class TestCount:
             assert code == 2 and out == "", beta
             assert err.startswith("error: bad subset literal") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--k", "\u0662"), ("--n", "+4"), ("--q", "1_1"), ("--t", "+1"), ("--budget", "1_000")],
+    )
+    def test_integer_options_take_ascii_digits_only(self, capsys, option, value):
+        # int() reads each of these, and "count --k \u0662 --n +4 --q 1_1" printed 16226
+        argv = {"--k": "2", "--n": "4", "--q": "11", "--t": "1", "--budget": "1000", option: value}
+        with pytest.raises(SystemExit) as exit_:
+            main(["count", "--spec", "divisor", "--beta", "{1,2}", "--gamma", "{3,4}",
+                  *(item for pair in argv.items() for item in pair)])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert f"argument {option}: {value!r} is not a nonnegative integer" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_subset_size_other_than_k_exits_2_before_enumerating(self, capsys, monkeypatch):
         import plucker.cli as cli_mod
 
@@ -366,6 +381,24 @@ class TestVerifyAll:
         assert err.startswith(f"error: cannot read config file {cfg}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--seed", "+7"], "'+7' is not an integer"), (["--budget", "-5"], "'-5' is not a nonnegative integer"),
+         (["--seed", "\u0667"], "is not an integer")],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, tmp_path, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify-all", "--report", str(tmp_path / "r.json"), *argv])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and message in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_certificate_integers_take_ascii_digits_only(self, capsys):
+        for argv in (["--n", "+4", "--t", "1"], ["--n", "4", "--t", "\u0661"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(["certificate", "--beta", "{1,2}", "--gamma", "{3,4}", *argv])
+            assert exit_.value.code == 2 and "is not a nonnegative integer" in capsys.readouterr().err
 
     def test_flag_and_env_overrides(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "sweep.cfg"

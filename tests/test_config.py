@@ -79,3 +79,31 @@ class TestPrecedence:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/sweep.cfg", env={})
+
+
+class TestIntegerText:
+    """Every integer of a config is ASCII digits, a '-' allowed only on the seed:
+    int() alone would read '+7' as 7, '1_000' as 1000 and Arabic-Indic digits."""
+
+    @pytest.mark.parametrize("line", ["seed = +7", "budget = 1_000", "k_range = 1:٣", "primes = 2,٥"])
+    def test_config_file(self, line):
+        with pytest.raises(ConfigError):
+            parse_config_file(line)
+
+    @pytest.mark.parametrize("key,raw", [("k_range", "1:٣"), ("budget", "1_000"), ("rational_samples", "+5")])
+    def test_override(self, key, raw):
+        with pytest.raises(ConfigError):
+            load_config(env={}, overrides={key: raw})
+
+    @pytest.mark.parametrize(
+        "name,raw", [("PLUCKER_SEED", "+7"), ("PLUCKER_BUDGET", "1_000"), ("PLUCKER_N_RANGE", "٢:4")]
+    )
+    def test_environment(self, name, raw):
+        with pytest.raises(ConfigError):
+            load_config(env={name: raw})
+
+    def test_plain_digits_and_a_negative_seed_still_read(self):
+        cfg = load_config(env={"PLUCKER_SEED": "-7"}, overrides={"k_range": "1: 3", "primes": "2, 5", "budget": "1000"})
+        assert (cfg.seed, cfg.k_range, cfg.primes, cfg.budget) == (-7, (1, 3), (2, 5), 1000)
+        with pytest.raises(ConfigError):
+            load_config(env={}, overrides={"budget": "-1000"})  # a sign only on the seed

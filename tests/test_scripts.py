@@ -68,6 +68,16 @@ def test_locus_digest_is_reproducible():
     ]
 
 
+def test_report_digest_is_reproducible():
+    # the verify-all report without seconds at the default, --budget 1 --seed 7 and --q 5 --budget 200
+    lines = [line.split() for line in run_script("report_digest.py").splitlines()]
+    assert lines == [
+        ["default", "3c5b6473febd0e459a8be6efa55f14f2fd4a77c740f2452304427c3500badc34"],
+        ["budget-1-seed-7", "6f068224eb875f2d4fb94a7775578e9fbf034d6a7a5d5d46a5ef1fd9390227ec"],
+        ["q-5-budget-200", "d9ca98620690659d6d2472066cb8cf4afb685c143f0a74591476a6dbc96ac64d"],
+    ]
+
+
 def load_script(name):
     """The script as a module, imported by path: scripts/ is not a package."""
     spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import struct
 import tracemalloc
 from array import array
@@ -16,6 +17,7 @@ from plucker import (
     VarietySpec,
     closed_richardson_points,
     count_points,
+    delta,
     divisor_spec,
     enumerate_grassmannian,
     enumerate_subsets,
@@ -278,6 +280,35 @@ class TestSpecs:
     def test_interval_positroid_spec_equals_closed_richardson(self):
         for b, g in iter_comparable_pairs(2, 4):
             assert positroid_spec(interval(b, g)) == richardson_spec(b, g, open_=False)
+
+    def test_specs_built_from_masks_equal_the_public_constructor(self):
+        # richardson_spec, w_spec and divisor_spec build from the interval's mask
+        def public(b, g, vanish, nonvanish):
+            outside = frozenset(s for s in enumerate_subsets(b.k, b.n) if s not in interval(b, g))
+            return VarietySpec(b.k, b.n, outside | frozenset(vanish), frozenset(nonvanish))
+
+        checked = 0
+        for k in range(1, 4):
+            for n in range(k, 7):
+                for b, g in iter_comparable_pairs(k, n):
+                    deltas = [delta(b, g, i) for i in range(k + 1)]
+                    pairs = [(richardson_spec(b, g), public(b, g, (), ())),
+                             (richardson_spec(b, g, open_=True), public(b, g, (), (b, g))),
+                             (w_spec(b, g), public(b, g, (), deltas))]
+                    for t in range(1, k):
+                        try:
+                            want = public(b, g, (delta(b, g, t),), (b, g))
+                        except ParameterError as exc:  # the pivot is an endpoint
+                            with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                                divisor_spec(b, g, t)
+                            continue
+                        pairs.append((divisor_spec(b, g, t), want))
+                    for got, want in pairs:
+                        # equal, with equal masks; repr may list a frozenset's members in another order
+                        assert got == want and hash(got) == hash(want)
+                        assert (got._vanish, got._nonvanish) == (want._vanish, want._nonvanish)
+                        checked += 1
+        assert checked == 1705
 
     def test_w_spec_matches_matrix_membership(self, cramer):
         # on open-stratum points the reverse echelon form exists (Cramer's rule
