@@ -64,6 +64,7 @@ from .subsets import (
     _interval_mask,
     _subset_positions,
     _window,
+    _window_mask,
     avoids_window,
     delta,
     enumerate_subsets,
@@ -438,18 +439,17 @@ def _cofactor(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> tuple:
         if i is None:
             raise RuntimeError(f"{alpha} differs from {delta(beta, gamma, t)} yet matches beta and gamma")
         anchor, exchanged = gamma, g[i]
-    lo, hi = b[t], g[t - 1]  # the window [beta(t+1), gamma(t)]
     inside = _interval_mask(beta, gamma)  # bit i set when the i-th subset lies in [beta, gamma]
+    window = _window_mask(len(a), alpha.n, b[t], g[t - 1])  # those meeting [beta(t+1), gamma(t)]
     pos = _subset_positions(len(a), alpha.n)
     inverse = (pos[anchor.elements], -1)
     acc: dict[tuple, int] = {}
     for sign, a_new, b_new in _checked_exchange(alpha, anchor, exchanged)[1]:
-        p = pos[b_new.elements]
-        if not inside >> pos[a_new.elements] & 1 or not inside >> p & 1:
+        x, p = a_new.elements, pos[b_new.elements]
+        if not inside >> pos[x] & 1 or not inside >> p & 1:
             continue
         # a_new must avoid the window and lie strictly below alpha in PrecedesT's order
-        x = a_new.elements
-        if x == a or any(lo <= e <= hi for e in x) or not (
+        if x == a or window >> pos[x] & 1 or not (
             all(map(operator.le, x[:t], a[:t])) and all(map(operator.ge, x[t:], a[t:]))
         ):
             raise RuntimeError(f"exchange produced {a_new}, not strictly below {alpha}")

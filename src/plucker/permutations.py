@@ -14,7 +14,7 @@ from operator import le
 from typing import Iterable
 
 from .errors import BudgetError, Immutable, ParameterError, as_int
-from .subsets import KSubset, SubsetFamily, p_set
+from .subsets import KSubset, SubsetFamily, _family, _subset_positions, p_set
 
 _BRUTEFORCE_MAX_N = 6
 
@@ -167,8 +167,8 @@ def positroid_from_interval(u: Permutation, v: Permutation, k: int) -> SubsetFam
     """The projected family {first-k-values(w) : u <= w <= v}."""
     if not 0 < k <= u.n:
         raise ParameterError(f"k={k} out of range 1..{u.n}")
-    members = {KSubset(s, u.n) for s in {tuple(sorted(w[:k])) for w in _interval(u, v)}}
-    return SubsetFamily(members, k, u.n)
+    pos = _subset_positions(k, u.n)
+    return _family(sum(1 << p for p in {pos[tuple(sorted(w[:k]))] for w in _interval(u, v)}), k, u.n)
 
 
 def verify_positroidset(beta: KSubset, gamma: KSubset, t: int) -> bool:
@@ -201,7 +201,7 @@ def is_positroid_bruteforce(family: SubsetFamily, k: int, n: int) -> bool:
         raise ParameterError("family parameters disagree with (k, n)")
     if len(family) == 0:
         return False
-    members = {m.elements for m in family.members}
+    members = {m.elements for m in family}
     lo = tuple(min(m[i] for m in members) for i in range(k))
     hi = tuple(max(m[i] for m in members) for i in range(k))
     # (prefix flat, first-k-values) of every w; u projects into the family

@@ -6,7 +6,9 @@ covering relation, the mixed subsets ``delta(beta, gamma, t)``, the
 families cut out by an integer window ``[beta(t+1), gamma(t)]``, cyclic
 column shifts, and the boundary/divisor families used by the variety
 checks.  Everything is 1-indexed to match the usual column numbering of a
-k x n matrix.
+k x n matrix.  A ``SubsetFamily`` is stored as one int, its lex mask: bit i
+is set when the i-th subset of ``enumerate_subsets(k, n)`` is a member; the
+interval and window families are bitwise expressions in cached masks.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ def parse_subset(text: str, n: int) -> KSubset:
 
 
 class SubsetFamily(Immutable):
-    """A finite set of KSubsets sharing the same (k, n)."""
+    """A finite set of KSubsets sharing the same (k, n), stored as its lex mask
+    ``mask``; it iterates in lex order."""
 
-    __slots__ = ("members", "k", "n", "_hash")
+    __slots__ = ("mask", "k", "n")
 
     def __init__(self, members: Iterable[KSubset], k: int | None = None, n: int | None = None):
         mem = frozenset(members)
@@ -130,51 +133,59 @@ class SubsetFamily(Immutable):
                 raise ParameterError("family members must share (k, n)")
         elif k is None or n is None:
             raise ParameterError("an empty family needs explicit (k, n)")
-        self._set(mem, k, n)
+        self._set(_lex_mask(mem, k, n) if mem else 0, k, n)
 
-    def _set(self, members: frozenset[KSubset], k: int, n: int) -> "SubsetFamily":
-        """Fill the slots, checking nothing: ``interval`` and its subfamilies are built this way."""
-        for slot, value in zip(self.__slots__, (members, k, n, hash((members, k, n)))):
+    def _set(self, mask: int, k: int, n: int) -> "SubsetFamily":
+        for slot, value in zip(self.__slots__, (mask, k, n)):
             object.__setattr__(self, slot, value)
         return self
 
+    members = property(frozenset)  # a frozenset of the members, built on each read
+
     def __contains__(self, alpha: KSubset) -> bool:
-        return alpha in self.members
+        shape = isinstance(alpha, KSubset) and (alpha.k, alpha.n) == (self.k, self.n)
+        return shape and bool(self.mask >> _subset_positions(self.k, self.n)[alpha.elements] & 1)
 
     def __iter__(self) -> Iterator[KSubset]:
-        return iter(sorted(self.members))
+        subsets = enumerate_subsets(self.k, self.n) if self.mask else ()  # an empty family may carry any (k, n)
+        return itertools.compress(subsets, map(int, bin(self.mask)[:1:-1]))  # bit 0 first
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubsetFamily)
-            and self.members == other.members
-            and (self.k, self.n) == (other.k, other.n)
-        )
+        return isinstance(other, SubsetFamily) and (self.mask, self.k, self.n) == (other.mask, other.k, other.n)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.mask, self.k, self.n))
 
     def __repr__(self) -> str:
         return "SubsetFamily({" + ", ".join(str(m) for m in self) + "}" + f", k={self.k}, n={self.n})"
 
-    def _check_same_shape(self, other: "SubsetFamily"):
+    def _same_shape(self, other: "SubsetFamily", mask: int) -> "SubsetFamily":
         if (self.k, self.n) != (other.k, other.n):
             raise ParameterError("families must share (k, n)")
+        return _family(mask, self.k, self.n)
 
     def __and__(self, other: "SubsetFamily") -> "SubsetFamily":
-        self._check_same_shape(other)
-        return SubsetFamily(self.members & other.members, self.k, self.n)
+        return self._same_shape(other, self.mask & other.mask)
 
     def __or__(self, other: "SubsetFamily") -> "SubsetFamily":
-        self._check_same_shape(other)
-        return SubsetFamily(self.members | other.members, self.k, self.n)
+        return self._same_shape(other, self.mask | other.mask)
 
     def __sub__(self, other: "SubsetFamily") -> "SubsetFamily":
-        self._check_same_shape(other)
-        return SubsetFamily(self.members - other.members, self.k, self.n)
+        return self._same_shape(other, self.mask & ~other.mask)
+
+
+def _family(mask: int, k: int, n: int) -> SubsetFamily:
+    """The family with this lex mask, unchecked: the one constructor from a mask."""
+    return object.__new__(SubsetFamily)._set(mask, k, n)
+
+
+def _lex_mask(subsets: Iterable[KSubset], k: int, n: int) -> int:
+    """The lex mask of these members of S(k, n)."""
+    pos = _subset_positions(k, n)
+    return sum({1 << pos[s.elements] for s in subsets})
 
 
 class SubsetInterval(Immutable):
@@ -231,9 +242,7 @@ def subset_leq(a: KSubset, b: KSubset) -> bool:
 
 def interval(beta: KSubset, gamma: KSubset) -> SubsetFamily:
     """All alpha with beta <= alpha <= gamma; an error if beta is not <= gamma."""
-    bits = bin(_interval_mask(beta, gamma))[:1:-1]  # bit i first, for the i-th subset in lex order
-    members = frozenset(itertools.compress(enumerate_subsets(beta.k, beta.n), map(int, bits)))
-    return object.__new__(SubsetFamily)._set(members, beta.k, beta.n)  # members of S(k, n) need no check
+    return _family(_interval_mask(beta, gamma), beta.k, beta.n)
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +313,10 @@ def _window(beta: KSubset, gamma: KSubset, t: int) -> tuple[int, int]:
     return beta(t + 1), gamma(t)
 
 
-def _meets(alpha: KSubset, lo: int, hi: int) -> bool:
-    return any(lo <= x <= hi for x in alpha.elements)
+@lru_cache(maxsize=None)
+def _window_mask(k: int, n: int, lo: int, hi: int) -> int:
+    """The lex mask of the subsets of S(k, n) with an element in lo..hi."""
+    return sum(1 << i for i, a in enumerate(enumerate_subsets(k, n)) if any(lo <= x <= hi for x in a.elements))
 
 
 def p_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
@@ -314,35 +325,24 @@ def p_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     Empty exactly when the window is an empty integer interval.
     """
     lo, hi = _window(beta, gamma, t)
-    members = frozenset(a for a in interval(beta, gamma).members if _meets(a, lo, hi))
-    return object.__new__(SubsetFamily)._set(members, beta.k, beta.n)
+    return _family(_interval_mask(beta, gamma) & _window_mask(beta.k, beta.n, lo, hi), beta.k, beta.n)
 
 
 def p_set_complement(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """Members of [beta, gamma] avoiding the window [beta(t+1), gamma(t)]."""
-    fam = interval(beta, gamma)
-    lo, hi = _window(beta, gamma, t)
-    members = frozenset(a for a in fam.members if not _meets(a, lo, hi))
-    return object.__new__(SubsetFamily)._set(members, beta.k, beta.n)
+    return interval(beta, gamma) - i_set(beta, gamma, t)  # an EmptyIntervalError before the window's errors
 
 
 def avoids_window(alpha: KSubset, beta: KSubset, gamma: KSubset, t: int) -> bool:
-    """Whether ``alpha`` lies in ``p_set_complement(beta, gamma, t)``, tested
-    from one bit of the interval's mask and the window bounds without building
-    the family; the same errors for a bad (beta, gamma, t)."""
-    mask = _interval_mask(beta, gamma)  # an EmptyIntervalError before the window's errors
-    lo, hi = _window(beta, gamma, t)
-    if (alpha.k, alpha.n) != (beta.k, beta.n):
-        return False
-    return bool(mask >> _subset_positions(beta.k, beta.n)[alpha.elements] & 1) and not _meets(alpha, lo, hi)
+    """Whether ``alpha`` lies in ``p_set_complement(beta, gamma, t)``, with its errors."""
+    return alpha in p_set_complement(beta, gamma, t)
 
 
 def i_set(beta: KSubset, gamma: KSubset, t: int) -> SubsetFamily:
     """All of S(k, n) meeting the window [beta(t+1), gamma(t)]."""
     _interval_mask(beta, gamma)  # an EmptyIntervalError before the window's errors
     lo, hi = _window(beta, gamma, t)
-    members = [a for a in enumerate_subsets(beta.k, beta.n) if _meets(a, lo, hi)]
-    return SubsetFamily(members, beta.k, beta.n)
+    return _family(_window_mask(beta.k, beta.n, lo, hi), beta.k, beta.n)
 
 
 def cyclic_shift(alpha: KSubset, j: int) -> KSubset:

@@ -4,8 +4,10 @@ Points of the Grassmannian over GF(q) are enumerated as reduced row
 echelon representatives, one per row space, grouped by their extreme
 vanishing pattern: the componentwise minimum of the nonzero minors is
 the pivot set, the maximum is the reverse-pivot set, and the pair
-locates the unique open interval stratum containing the point.  On top
-of that substrate the module checks, exactly and set-theoretically: the
+locates the unique open interval stratum containing the point.  A
+point's support and a locus (``VarietySpec``) are lex masks of the
+coordinates, so membership is two bitwise tests.  On top of that
+substrate the module checks, exactly and set-theoretically: the
 divisor identity of the window family, the complement description of
 the banded-parameterization piece, the cyclically shifted one-row
 description of the window locus, and closed point-count formulas.
@@ -32,6 +34,8 @@ from .subsets import (
     KSubset,
     SubsetFamily,
     _interval_mask,
+    _family,
+    _lex_mask,
     _subset_positions,
     _window,
     cyclic_shift,
@@ -63,10 +67,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 class VarietySpec(Immutable):
-    """A locus cut out by vanishing and non-vanishing coordinate constraints.
-    Immutable; equality and hash are those of the four constraint fields."""
+    """A locus cut out by vanishing and non-vanishing coordinate constraints, stored
+    as two lex masks of S(k, n): ``_vanish`` and ``_nonvanish``.  Immutable; the
+    frozensets ``must_vanish`` and ``must_not_vanish`` are built on each read."""
 
-    __slots__ = ("k", "n", "must_vanish", "must_not_vanish", "_vanish", "_nonvanish")
+    __slots__ = ("k", "n", "_vanish", "_nonvanish")
 
     def __init__(self, k: int, n: int, must_vanish: frozenset[KSubset], must_not_vanish: frozenset[KSubset]):
         if must_vanish & must_not_vanish:
@@ -74,13 +79,18 @@ class VarietySpec(Immutable):
         for s in itertools.chain(must_vanish, must_not_vanish):
             if (s.k, s.n) != (k, n):
                 raise ParameterError(f"{s!r} does not live in S({k},{n})")
-        pos = _subset_positions(k, n)  # the masks are compiled once, and kept out of equality and hash
-        masks = (sum(1 << pos[s.elements] for s in must_vanish), sum(1 << pos[s.elements] for s in must_not_vanish))
-        for set_slot, value in zip(_spec_setters, (k, n, must_vanish, must_not_vanish, *masks)):
-            set_slot(self, value)  # __setattr__ refuses every write
+        self._set(k, n, _lex_mask(must_vanish, k, n), _lex_mask(must_not_vanish, k, n))
+
+    def _set(self, k: int, n: int, vanish: int, nonvanish: int) -> "VarietySpec":
+        for slot, value in zip(self.__slots__, (k, n, vanish, nonvanish)):
+            object.__setattr__(self, slot, value)
+        return self
+
+    must_vanish = property(lambda self: _family(self._vanish, self.k, self.n).members)
+    must_not_vanish = property(lambda self: _family(self._nonvanish, self.k, self.n).members)
 
     def _key(self) -> tuple:
-        return self.k, self.n, self.must_vanish, self.must_not_vanish
+        return self.k, self.n, self._vanish, self._nonvanish
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VarietySpec) and self._key() == other._key()
@@ -89,15 +99,14 @@ class VarietySpec(Immutable):
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return "VarietySpec(k={!r}, n={!r}, must_vanish={!r}, must_not_vanish={!r})".format(*self._key())
+        texts = (", ".join(map(repr, _family(m, self.k, self.n))) for m in (self._vanish, self._nonvanish))
+        sets = ("frozenset({%s})" % text if text else "frozenset()" for text in texts)  # members in lex order
+        return "VarietySpec(k={!r}, n={!r}, must_vanish={}, must_not_vanish={})".format(self.k, self.n, *sets)
 
     def admits(self, support: int) -> bool:
         """Whether a point with this support lies on the locus.  Bit i of a
         support is set when the i-th subset of ``enumerate_subsets(k, n)`` is nonzero."""
         return not support & self._vanish and support & self._nonvanish == self._nonvanish
-
-
-_spec_setters = tuple(getattr(VarietySpec, a).__set__ for a in VarietySpec.__slots__)
 
 
 class GrPoint(Immutable):
@@ -342,46 +351,36 @@ def membership(point: GrPoint, spec: VarietySpec) -> bool:
     return spec.admits(point.support)
 
 
-def _outside(family: SubsetFamily) -> frozenset[KSubset]:
-    return frozenset(s for s in enumerate_subsets(family.k, family.n) if s not in family)
-
-
-def _interval_spec(beta: KSubset, gamma: KSubset, vanish=(), nonvanish=()) -> VarietySpec:
-    """The spec making every coordinate outside [beta, gamma] and those of ``vanish``
-    vanish and inverting those of ``nonvanish``, built from masks: its frozensets come
-    from them, without the per-member check, as ``SubsetFamily._set`` skips it."""
-    inside = _interval_mask(beta, gamma)  # its errors for a bad pair come first
-    subsets, pos = enumerate_subsets(beta.k, beta.n), _subset_positions(beta.k, beta.n)
-    outside = ~inside & ((1 << len(subsets)) - 1)
-    masks = [outside | sum({1 << pos[s.elements] for s in vanish}), sum({1 << pos[s.elements] for s in nonvanish})]
-    if masks[0] & masks[1]:
+def _spec(inside: int, k: int, n: int, vanish=(), nonvanish=()) -> VarietySpec:
+    """The spec making every coordinate of S(k, n) outside the lex mask ``inside`` and those
+    of ``vanish`` vanish and inverting those of ``nonvanish``: the one constructor from masks."""
+    vanish = (~inside & (1 << len(enumerate_subsets(k, n))) - 1) | _lex_mask(vanish, k, n)
+    nonvanish = _lex_mask(nonvanish, k, n)
+    if vanish & nonvanish:
         raise ParameterError("vanishing and non-vanishing constraints overlap")
-    sets = [frozenset(itertools.compress(subsets, map(int, bin(mask)[:1:-1]))) for mask in masks]
-    spec = object.__new__(VarietySpec)
-    for set_slot, value in zip(_spec_setters, (beta.k, beta.n, *sets, *masks)):
-        set_slot(spec, value)
-    return spec
+    return object.__new__(VarietySpec)._set(k, n, vanish, nonvanish)
 
 
 def richardson_spec(beta: KSubset, gamma: KSubset, open_: bool = False) -> VarietySpec:
     """Vanishing outside [beta, gamma]; the open version also inverts the endpoints."""
-    return _interval_spec(beta, gamma, nonvanish=(beta, gamma) if open_ else ())
+    return _spec(_interval_mask(beta, gamma), beta.k, beta.n, nonvanish=(beta, gamma) if open_ else ())
 
 
 def positroid_spec(family: SubsetFamily) -> VarietySpec:
     """Vanishing of every coordinate outside the family."""
-    return VarietySpec(family.k, family.n, _outside(family), frozenset())
+    return _spec(family.mask, family.k, family.n)
 
 
 def w_spec(beta: KSubset, gamma: KSubset) -> VarietySpec:
     """Open interval stratum with every mixed minor inverted."""
-    return _interval_spec(beta, gamma, nonvanish=[delta(beta, gamma, i) for i in range(beta.k + 1)])
+    deltas = [delta(beta, gamma, i) for i in range(beta.k + 1)]
+    return _spec(_interval_mask(beta, gamma), beta.k, beta.n, nonvanish=deltas)
 
 
 def divisor_spec(beta: KSubset, gamma: KSubset, t: int) -> VarietySpec:
     """The pivot-coordinate zero locus inside the open interval stratum."""
     _window(beta, gamma, t)  # t in 1..k-1: delta is gamma at t = 0 and beta at t = k
-    return _interval_spec(beta, gamma, (delta(beta, gamma, t),), (beta, gamma))
+    return _spec(_interval_mask(beta, gamma), beta.k, beta.n, (delta(beta, gamma, t),), (beta, gamma))
 
 
 def open_richardson_points(

@@ -168,6 +168,84 @@ class TestOrder:
         assert si.family() == interval(si.lo, si.hi)
 
 
+class TestFamilies:
+    """``SubsetFamily`` against the same operations on frozensets, and the window
+    families against their element-wise definitions."""
+
+    @staticmethod
+    def all_families(k, n):
+        subsets = enumerate_subsets(k, n)
+        for bits in range(1 << len(subsets)):
+            members = frozenset(s for i, s in enumerate(subsets) if bits >> i & 1)
+            yield members, SubsetFamily(members, k, n)
+
+    def test_operations_match_frozensets(self):
+        families = list(self.all_families(2, 4))
+        assert len(families) == 64
+        for a, fa in families:
+            assert len(fa) == len(a) and fa.members == a and isinstance(fa.members, frozenset)
+            assert list(fa) == sorted(a)
+            assert repr(fa) == "SubsetFamily({" + ", ".join(map(str, sorted(a))) + "}, k=2, n=4)"
+            for b, fb in families:
+                for got, want in ((fa & fb, a & b), (fa | fb, a | b), (fa - fb, a - b)):
+                    assert got == SubsetFamily(want, 2, 4) and got.members == want
+                    assert (got.k, got.n) == (2, 4) and list(got) == sorted(want)
+                assert (fa == fb) == (a == b)
+                if a == b:
+                    assert hash(fa) == hash(fb)
+        assert len({fa for _, fa in families}) == 64
+
+    def test_membership(self):
+        fam = SubsetFamily([ks((1, 3), 4), ks((2, 4), 4)])
+        assert ks((1, 3), 4) in fam and ks((2, 4), 4) in fam
+        assert ks((1, 2), 4) not in fam
+        for other in (ks((1, 3), 5), ks((1, 3, 4), 4), ks((3,), 4)):  # another (k, n)
+            assert other not in fam
+        assert (1, 3) not in fam and "{1,3}" not in fam
+
+    def test_window_families_match_their_definitions(self):
+        checked = 0
+        for k in range(1, 4):
+            for n in range(k, 7):
+                subsets = enumerate_subsets(k, n)
+                for b, g in iter_comparable_pairs(k, n):
+                    box = {a for a in subsets if subset_leq(b, a) and subset_leq(a, g)}
+                    assert interval(b, g).members == box and list(interval(b, g)) == sorted(box)
+                    for t in range(1, k):
+                        lo, hi = b(t + 1), g(t)
+                        meets = {a for a in subsets if any(lo <= x <= hi for x in a)}
+                        assert i_set(b, g, t).members == meets
+                        assert p_set(b, g, t).members == box & meets
+                        assert p_set_complement(b, g, t).members == box - meets
+                        assert {a for a in subsets if avoids_window(a, b, g, t)} == box - meets
+                        checked += 1
+        assert checked == 654
+
+    def test_empty_family(self):
+        empty = SubsetFamily([], 2, 4)
+        assert len(empty) == 0 and list(empty) == [] and empty.members == frozenset()
+        assert repr(empty) == "SubsetFamily({}, k=2, n=4)"
+        assert empty == SubsetFamily(set(), 2, 4) and hash(empty) == hash(SubsetFamily((), 2, 4))
+        assert empty != SubsetFamily([], 2, 5) and ks((1, 2), 4) not in empty
+        full = SubsetFamily(enumerate_subsets(2, 4))
+        assert empty | full == full and full - full == empty and not (empty & full)
+        odd = SubsetFamily([], 5, 3)  # no subset of S(5, 3) exists, but an empty family may carry it
+        assert (odd.k, odd.n, len(odd), list(odd)) == (5, 3, 0, [])
+        assert repr(odd) == "SubsetFamily({}, k=5, n=3)"
+        with pytest.raises(ParameterError, match=r"an empty family needs explicit \(k, n\)"):
+            SubsetFamily([])
+
+    def test_mixed_parameters_are_refused(self):
+        with pytest.raises(ParameterError, match=r"^family members must share \(k, n\)$"):
+            SubsetFamily([ks((1, 2), 4), ks((1, 2), 5)])
+        with pytest.raises(ParameterError, match=r"^family members must share \(k, n\)$"):
+            SubsetFamily([ks((1, 2), 4)], 2, 5)
+        fam, other = SubsetFamily([ks((1, 2), 4)]), SubsetFamily([ks((1, 2), 5)])
+        for op in ("__and__", "__or__", "__sub__"):
+            with pytest.raises(ParameterError, match=r"^families must share \(k, n\)$"):
+                getattr(fam, op)(other)
+
+
 class TestCovers:
     def test_examples(self):
         assert covers(ks((1, 2), 4), ks((1, 3), 4))

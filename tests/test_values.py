@@ -51,8 +51,11 @@ def one_of_each():
     ]
 
 
-def slot_names(value):
-    return [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+def attribute_names(value):
+    """Its slots and its properties, such as the members read from a family's mask."""
+    classes = type(value).__mro__
+    properties = [name for cls in classes for name, attr in vars(cls).items() if isinstance(attr, property)]
+    return [name for cls in classes for name in getattr(cls, "__slots__", ())] + properties
 
 
 def test_every_hashed_public_class_subclasses_the_base():
@@ -68,7 +71,7 @@ def test_every_hashed_public_class_subclasses_the_base():
 def test_no_write_or_delete_and_a_copy_is_the_value(value):
     before = hash(value)
     message = f"{type(value).__name__} is immutable"
-    for name in [*slot_names(value), "extra"]:
+    for name in [*attribute_names(value), "extra"]:
         with pytest.raises(AttributeError, match=message):
             setattr(value, name, 7)
         with pytest.raises(AttributeError, match=message):

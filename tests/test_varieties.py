@@ -282,10 +282,12 @@ class TestSpecs:
             assert positroid_spec(interval(b, g)) == richardson_spec(b, g, open_=False)
 
     def test_specs_built_from_masks_equal_the_public_constructor(self):
-        # richardson_spec, w_spec and divisor_spec build from the interval's mask
+        # richardson_spec, w_spec and divisor_spec build from the interval's mask; the
+        # public constructor is given the same members in reverse lex order
         def public(b, g, vanish, nonvanish):
-            outside = frozenset(s for s in enumerate_subsets(b.k, b.n) if s not in interval(b, g))
-            return VarietySpec(b.k, b.n, outside | frozenset(vanish), frozenset(nonvanish))
+            outside = {s for s in enumerate_subsets(b.k, b.n) if not (subset_leq(b, s) and subset_leq(s, g))}
+            vanish, nonvanish = (frozenset(sorted(m, reverse=True)) for m in (outside | set(vanish), set(nonvanish)))
+            return VarietySpec(b.k, b.n, vanish, nonvanish)
 
         checked = 0
         for k in range(1, 4):
@@ -304,11 +306,36 @@ class TestSpecs:
                             continue
                         pairs.append((divisor_spec(b, g, t), want))
                     for got, want in pairs:
-                        # equal, with equal masks; repr may list a frozenset's members in another order
+                        # equal, with equal masks, and printed the same
                         assert got == want and hash(got) == hash(want)
                         assert (got._vanish, got._nonvanish) == (want._vanish, want._nonvanish)
+                        assert repr(got) == repr(want)
                         checked += 1
         assert checked == 1705
+
+    def test_repr_lists_members_in_lex_order(self):
+        b, g = KSubset([1], 2), KSubset([2], 2)
+        text = "VarietySpec(k=1, n=2, must_vanish=frozenset(), must_not_vanish=frozenset({%r, %r}))" % (b, g)
+        assert repr(VarietySpec(1, 2, frozenset(), frozenset((g, b)))) == text
+        assert repr(richardson_spec(b, g, open_=True)) == text
+        spec = VarietySpec(2, 4, frozenset([ks((3, 4), 4), ks((2, 4), 4), ks((1, 4), 4)]), frozenset([ks((1, 2), 4)]))
+        assert repr(spec) == (
+            "VarietySpec(k=2, n=4, must_vanish=frozenset({KSubset([1, 4], n=4), KSubset([2, 4], n=4), "
+            "KSubset([3, 4], n=4)}), must_not_vanish=frozenset({KSubset([1, 2], n=4)}))"
+        )
+
+    def test_constructor_errors_keep_their_messages_and_order(self):
+        a4, a5 = ks((1, 2), 4), ks((1, 2), 5)
+        with pytest.raises(ParameterError, match=r"^vanishing and non-vanishing constraints overlap$"):
+            VarietySpec(2, 4, frozenset({a5}), frozenset({a5}))  # the overlap is found first
+        for vanish, nonvanish in (({a5}, set()), (set(), {a5}), ({a4, a5}, set())):
+            with pytest.raises(ParameterError, match=re.escape(f"{a5!r} does not live in S(2,4)")):
+                VarietySpec(2, 4, frozenset(vanish), frozenset(nonvanish))
+        with pytest.raises(ParameterError, match="need 0 < k <= n"):
+            VarietySpec(5, 3, frozenset(), frozenset())
+        spec = VarietySpec(2, 4, {a4}, set())  # plain sets are read, and frozensets handed back
+        assert spec.must_vanish == frozenset({a4}) and isinstance(spec.must_vanish, frozenset)
+        assert spec.must_not_vanish == frozenset() and isinstance(spec.must_not_vanish, frozenset)
 
     def test_w_spec_matches_matrix_membership(self, cramer):
         # on open-stratum points the reverse echelon form exists (Cramer's rule
