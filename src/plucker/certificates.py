@@ -18,10 +18,12 @@ identities directly and the public certificates build their
 ``LaurentExpression``.
 
 Signs of the exchange relations follow the shuffle convention (parity of
-sorting the modified index sequences).  Each relation is checked the first
-time it is built, before it or its signs are handed out: in compiled form,
-it must be the zero polynomial on the minors of the identity chart [I | X]
-(``_chart_minors``, a proof over Z), or the build aborts.
+sorting the modified index sequences).  Each relation is built on element
+tuples and lex positions and checked the first time it is built, before it or
+its signs are handed out: in compiled form, it must be the zero polynomial on
+the minors of the identity chart [I | X] (``_chart_minors``, a proof over Z),
+or the build aborts.  Only ``relation_table`` and ``plucker_relation`` build
+a ``LaurentExpression`` of it, which must compile back to the checked terms.
 
 Relations and certificates are checked in one compiled form: a polynomial
 identity on plain ints, as (coefficient, ((position, power), ...)) terms over
@@ -232,27 +234,25 @@ def _sort_sign(seq: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _exchange_terms(
-    alpha: KSubset, other: KSubset, b: int
-) -> list[tuple[int, KSubset, KSubset]]:
-    """Signed terms of the exchange of element b of ``other`` into ``alpha``.
+def _exchange_terms(a: tuple, o: tuple, b: int) -> list[tuple[int, tuple, tuple]]:
+    """Signed terms of the exchange of element b of ``o`` into ``a``, both sorted
+    element tuples of k-subsets.
 
-    Returns (sign, alpha', other') triples over j in alpha minus other,
-    where alpha' = alpha - j + b and other' = other - b + j; the signs
-    make  Delta_alpha Delta_other = sum sign * Delta_alpha' Delta_other'
-    an identity on maximal minors.
+    Returns (sign, a', o') triples over j in a minus o, where a' = a - j + b
+    and o' = o - b + j, sorted; the signs make  Delta_a Delta_o = sum sign *
+    Delta_a' Delta_o'  an identity on maximal minors.
     """
-    pos_b = other.elements.index(b)
+    pos_b = o.index(b)
     out = []
-    for pos_j, j in enumerate(alpha.elements):
-        if j in other:
+    for pos_j, j in enumerate(a):
+        if j in o:
             continue
-        seq_a = list(alpha.elements)
+        seq_a = list(a)
         seq_a[pos_j] = b
-        seq_o = list(other.elements)
+        seq_o = list(o)
         seq_o[pos_b] = j
         sign = _sort_sign(seq_a) * _sort_sign(seq_o)
-        out.append((sign, alpha.replace(j, b), other.replace(b, j)))
+        out.append((sign, tuple(sorted(seq_a)), tuple(sorted(seq_o))))
     return out
 
 
@@ -306,45 +306,61 @@ def _chart_minors(k: int, n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _checked_exchange(alpha: KSubset, other: KSubset, b: int) -> tuple[LaurentExpression, tuple, tuple]:
-    """The relation for the exchange of b of ``other`` into ``alpha``, its
-    ``_exchange_terms`` and its compiled terms.  The only source of exchange
-    signs: compiled, it must be zero on ``_chart_minors``, or the sign
-    convention is wrong and the build stops.
+def _checked_exchange(a: tuple, o: tuple, b: int, n: int) -> tuple[tuple, tuple]:
+    """The exchange of b of ``o`` into ``a``, element tuples of S(len(a), n): its
+    ``_exchange_terms`` and its relation  Delta_a Delta_o - sum sign * Delta_a'
+    Delta_o'  in compiled form, one (c, ((position, power), ...)) term per
+    monomial with nonzero c, in the order of ``LaurentExpression`` terms.  The
+    only source of exchange signs: the compiled relation must be zero on
+    ``_chart_minors``, or the sign convention is wrong and the build stops.
     """
-    terms = tuple(_exchange_terms(alpha, other, b))
-    relation = LaurentExpression(
-        [(1, (PluckerSymbol(alpha), PluckerSymbol(other)))]
-        + [(-sign, (PluckerSymbol(a), PluckerSymbol(o))) for sign, a, o in terms]
-    )
-    k, n = alpha.k, alpha.n
+    terms = tuple(_exchange_terms(a, o, b))
+    k, pos = len(a), _subset_positions(len(a), n)
+    acc: dict[tuple, int] = {}
+    for c, x, y in ((1, a, o), *((-sign, x, y) for sign, x, y in terms)):
+        p, q = sorted((pos[x], pos[y]))
+        key = ((p, 2),) if p == q else ((p, 1), (q, 1))
+        acc[key] = acc.get(key, 0) + c
+    compiled = tuple((c, tuple(_PAIRS.setdefault(pe, pe) for pe in key)) for key, c in sorted(acc.items()) if c)
     # no inverse, so D = 1 (see ``_clear``); the chart is one point, as one-entry columns
-    compiled = _clear(_positional(relation.terms, _subset_positions(k, n)))[1]
     if not vanishes(compiled, [[m] for m in _chart_minors(k, n)]):
-        raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
-    return relation, terms, compiled
+        raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): exchange of {b} of {o} into {a}")
+    return terms, compiled
 
 
 def _exchanges(k: int, n: int):
-    """Every exchange (alpha, other, b) of S(k, n), in table order."""
-    subsets = enumerate_subsets(k, n)
-    return (
-        (alpha, other, b)
-        for alpha in subsets for other in subsets for b in other.elements if b not in alpha
+    """Every exchange (a, o, b, n) of S(k, n), a and o element tuples, in table order."""
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    return ((a, o, b, n) for a in subsets for o in subsets for b in o if b not in a)
+
+
+def _relation(a: tuple, o: tuple, b: int, n: int) -> LaurentExpression:
+    """The relation of ``_checked_exchange(a, o, b, n)`` as a ``LaurentExpression``,
+    which must compile to the relation the gate checked, or the build stops."""
+    terms, compiled = _checked_exchange(a, o, b, n)
+    k = len(a)
+    pos, subsets = _subset_positions(k, n), enumerate_subsets(k, n)
+    relation = LaurentExpression(
+        (c, (PluckerSymbol(subsets[pos[x]]), PluckerSymbol(subsets[pos[y]])))
+        for c, x, y in ((1, a, o), *((-sign, x, y) for sign, x, y in terms))
     )
+    if _clear(_positional(relation.terms, pos))[1] != compiled:
+        raise RuntimeError(f"sign convention failed validation for (k={k}, n={n}): {relation!r}")
+    return relation
 
 
 @lru_cache(maxsize=None)
 def relation_table(k: int, n: int) -> tuple[LaurentExpression, ...]:
     """All exchange relations for S(k, n), each checked on the identity chart."""
-    return tuple(_checked_exchange(*key)[0] for key in _exchanges(k, n))
+    return tuple(_relation(*key) for key in _exchanges(k, n))
 
 
 def compiled_relations(k: int, n: int) -> tuple[tuple, ...]:
     """The relations of ``relation_table(k, n)``, in its order, in compiled
     form: each sums to 0 at every minor vector, and at every nonzero multiple
-    of one.  A relation that cancels to zero compiles to no terms."""
-    return tuple(_checked_exchange(*key)[2] for key in _exchanges(k, n))
+    of one.  A relation that cancels to zero compiles to no terms.  No
+    ``LaurentExpression`` is built."""
+    return tuple(_checked_exchange(*key)[1] for key in _exchanges(k, n))
 
 
 def verify_plucker_relations(p: PluckerVector) -> bool:
@@ -359,7 +375,7 @@ def plucker_relation(alpha: KSubset, beta: KSubset, i: int) -> LaurentExpression
         raise ParameterError("subsets must share (k, n)")
     if i not in beta or i in alpha:
         raise ParameterError(f"{i} must lie in {beta} but not in {alpha}")
-    return _checked_exchange(alpha, beta, i)[0]
+    return _relation(alpha.elements, beta.elements, i, alpha.n)
 
 
 @dataclass(frozen=True)
@@ -424,36 +440,37 @@ def _times(mono: tuple, *factors: tuple[int, int]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _cofactor(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -> tuple:
-    """The cofactor e_alpha of  Delta_alpha = Delta_pivot * e_alpha  on lex positions:
-    ((monomial, c), ...) with nonzero int c, each monomial a tuple of (position,
-    nonzero power) pairs, both sorted, so in the order of ``LaurentExpression`` terms."""
-    a, b, g = alpha.elements, beta.elements, gamma.elements
+def _cofactor(beta: KSubset, gamma: KSubset, t: int, a: tuple) -> tuple:
+    """The cofactor e_alpha of  Delta_alpha = Delta_pivot * e_alpha  on lex positions,
+    alpha given by its elements ``a``: ((monomial, c), ...) with nonzero int c, each
+    monomial a tuple of (position, nonzero power) pairs, both sorted, so in the
+    order of ``LaurentExpression`` terms."""
+    b, g, n = beta.elements, gamma.elements, beta.n
+    pos = _subset_positions(len(a), n)
     if a == b[:t] + g[t:]:  # the pivot delta(beta, gamma, t)
         return (((), 1),)
     i = next((i for i in range(t) if a[i] > b[i]), None)
     if i is not None:
-        anchor, exchanged = beta, b[i]
+        anchor, exchanged = b, b[i]
     else:
         i = next((i for i in range(len(a) - 1, t - 1, -1) if a[i] < g[i]), None)
         if i is None:
-            raise RuntimeError(f"{alpha} differs from {delta(beta, gamma, t)} yet matches beta and gamma")
-        anchor, exchanged = gamma, g[i]
+            raise RuntimeError(f"{KSubset(a, n)} differs from {delta(beta, gamma, t)} yet matches beta and gamma")
+        anchor, exchanged = g, g[i]
     inside = _interval_mask(beta, gamma)  # bit i set when the i-th subset lies in [beta, gamma]
-    window = _window_mask(len(a), alpha.n, b[t], g[t - 1])  # those meeting [beta(t+1), gamma(t)]
-    pos = _subset_positions(len(a), alpha.n)
-    inverse = (pos[anchor.elements], -1)
+    window = _window_mask(len(a), n, b[t], g[t - 1])  # those meeting [beta(t+1), gamma(t)]
+    inverse = (pos[anchor], -1)
     acc: dict[tuple, int] = {}
-    for sign, a_new, b_new in _checked_exchange(alpha, anchor, exchanged)[1]:
-        x, p = a_new.elements, pos[b_new.elements]
+    for sign, x, y in _checked_exchange(a, anchor, exchanged, n)[0]:
+        p = pos[y]
         if not inside >> pos[x] & 1 or not inside >> p & 1:
             continue
-        # a_new must avoid the window and lie strictly below alpha in PrecedesT's order
+        # x must avoid the window and lie strictly below alpha in PrecedesT's order
         if x == a or window >> pos[x] & 1 or not (
             all(map(operator.le, x[:t], a[:t])) and all(map(operator.ge, x[t:], a[t:]))
         ):
-            raise RuntimeError(f"exchange produced {a_new}, not strictly below {alpha}")
-        for mono, c in _cofactor(beta, gamma, t, a_new):
+            raise RuntimeError(f"exchange produced {KSubset(x, n)}, not strictly below {KSubset(a, n)}")
+        for mono, c in _cofactor(beta, gamma, t, x):
             key = _times(mono, (p, 1), inverse)
             acc[key] = acc.get(key, 0) + sign * c
     return tuple(sorted(term for term in acc.items() if term[1]))
@@ -474,7 +491,7 @@ def principal_certificate(
         raise ParameterError(f"{alpha} has (k, n) = {alpha.k, alpha.n}, but beta {beta} has {beta.k, beta.n}")
     if not avoids_window(alpha, beta, gamma, t):
         raise ParameterError(f"{alpha} does not avoid the window of ({beta}, {gamma}, t={t})")
-    cof = _expression(_cofactor(beta, gamma, t, alpha), beta.k, beta.n)
+    cof = _expression(_cofactor(beta, gamma, t, alpha.elements), beta.k, beta.n)
     cof.validate_localized(beta, gamma)
     return Certificate(
         target=alpha, pivot=delta(beta, gamma, t), cofactor=cof, beta=beta, gamma=gamma, t=t
@@ -551,7 +568,7 @@ def _principal_identity(beta: KSubset, gamma: KSubset, t: int, alpha: KSubset) -
     ``_cofactor`` without building the certificate; alpha must avoid the window."""
     pos = _subset_positions(beta.k, beta.n)
     pivot = pos[beta.elements[:t] + gamma.elements[t:]]  # delta(beta, gamma, t)
-    return _identity(pos[alpha.elements], pivot, _cofactor(beta, gamma, t, alpha))
+    return _identity(pos[alpha.elements], pivot, _cofactor(beta, gamma, t, alpha.elements))
 
 
 def _unit_identities(beta: KSubset, gamma: KSubset, t: int) -> tuple[tuple, tuple]:
@@ -560,7 +577,7 @@ def _unit_identities(beta: KSubset, gamma: KSubset, t: int) -> tuple[tuple, tupl
     must be empty."""
     pos = _subset_positions(beta.k, beta.n)
     b, pivot = pos[beta.elements], pos[beta.elements[:t] + gamma.elements[t:]]  # delta(beta, gamma, t)
-    cofactor = _cofactor(beta, gamma, t, beta)
+    cofactor = _cofactor(beta, gamma, t, beta.elements)
     inverse = sorted((_times(mono, (b, -1)), c) for mono, c in cofactor)
     return _identity(b, pivot, cofactor), _identity(None, pivot, inverse)
 

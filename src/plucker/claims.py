@@ -30,7 +30,7 @@ from .certificates import (
 from .config import SweepConfig
 from .errors import BudgetError, ParameterError
 from .fields import QQ, PrimeField
-from .matrices import YShape, enumerate_y, pair_minors, phi, psi, sample_y, sample_y_minors, w_membership
+from .matrices import YShape, _dense, _layout, _sampled_minors, enumerate_y, phi, psi, sample_y, w_membership
 from .permutations import verify_positroidset
 from .reports import FAIL, PASS, SKIP, ClaimReport, RunReport
 from .subsets import _subset_positions, delta, enumerate_subsets, iter_comparable_pairs, p_set, p_set_complement
@@ -114,25 +114,21 @@ def claim_relations(cfg, rng, notes):
     """Every generated exchange relation vanishes on minors of random
     rational matrices; the classical three-term relation shows up.  Each
     relation is evaluated in compiled form on the int minors of the
-    row-scaled matrices, the same points of the Grassmannian."""
+    row-scaled matrices, the same points of the Grassmannian, as columns."""
     for k, n in cfg.grassmannians():
         try:
-            table = relation_table(k, n)
+            relations = compiled_relations(k, n)
         except RuntimeError as exc:
             yield f"(k={k},n={n}): {exc}"
             continue
-        samples = [
-            pair_minors([[QQ.random_pair(rng) for _ in range(n)] for _ in range(k)], n)[0]
-            for _ in range(cfg.matrix_samples)
-        ]
-        samples = list(zip(*samples))  # column i: the i-th minor of every matrix
-        for rel, terms in zip(table, compiled_relations(k, n)):
+        samples = _sampled_minors(_dense(k, n), n, 0, cfg.matrix_samples, rng)
+        for at, terms in enumerate(relations):
             if not vanishes(terms, samples):
-                yield f"(k={k},n={n}): relation {rel!r} nonzero"
+                yield f"(k={k},n={n}): relation {relation_table(k, n)[at]!r} nonzero"
                 break
             yield None
         if (k, n) == (2, 4):
-            if not any(len(rel.terms) == 3 for rel in table):
+            if not any(len(terms) == 3 for terms in relations):
                 yield "no three-term relation found in S(2,4)"
             else:
                 notes.append("three-term relation present in S(2,4)")
@@ -204,8 +200,8 @@ def claim_lem4_certificates(cfg, rng, notes):
             for _, gamma in pairs:
                 # int minors of banded matrices, which phi would not change (see certificates)
                 shape = YShape(beta, gamma)
-                draws = [sample_y_minors(shape, rng) for _ in range(cfg.rational_samples)]
-                groups = [(q, _columns(strata, gamma, N)) for q, strata in cells] + [(0, list(zip(*draws)))]
+                rational = _sampled_minors(_layout(shape), n, shape.unit_count, cfg.rational_samples, rng)
+                groups = [(q, _columns(strata, gamma, N)) for q, strata in cells] + [(0, rational)]
                 for t in range(1, k):
                     for alpha in p_set_complement(beta, gamma, t):
                         try:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from fractions import Fraction
 
-from .errors import Immutable, ParameterError, ParseError, as_int
+from .errors import Immutable, ParameterError, ParseError, as_int, ascii_int
 
 _MAX_PRIME = 2**31
 _INTERN_LIMIT = 1 << 12
@@ -156,10 +155,10 @@ class PrimeField(Immutable):
         return self(rng.randrange(1, self.p))
 
     def parse(self, token: str) -> Fp:
-        # ASCII digits only: int() would also take "+1", "1_0" and other scripts' digits
-        if not (token.isascii() and token.isdigit()):
-            raise ParseError(f"bad residue {token!r} for GF({self.p})")
-        return self(int(token))
+        try:
+            return self(ascii_int(token))
+        except ParseError:
+            raise ParseError(f"bad residue {token!r} for GF({self.p})") from None
 
     def format(self, elem: Fp) -> str:
         return str(self(elem).value)
@@ -207,10 +206,12 @@ class Rationals(Immutable):
                 return x
 
     def parse(self, token: str) -> Fraction:
-        # ``n`` or ``n/d``, d nonzero, in ASCII digits: Fraction() would also take "1e9", "0.5" and "1_0"
-        if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", token):
-            raise ParseError(f"bad rational {token!r}")
-        return Fraction(token)
+        # ``n`` or ``n/d``, d nonzero: Fraction() would also take "1e9", "0.5" and "1_0"
+        num, slash, den = token.partition("/")
+        try:
+            return Fraction(ascii_int(num, True), ascii_int(den) if slash else 1)
+        except (ParseError, ZeroDivisionError):
+            raise ParseError(f"bad rational {token!r}") from None
 
     def format(self, elem: Fraction) -> str:
         return str(Fraction(elem))

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .errors import DecompositionError, Immutable, ParameterError, ParseError, ShapeError, ascii_int
@@ -152,23 +153,63 @@ def _minors(rows, n: int) -> list:
     return minors
 
 
-def pair_minors(rows, n: int) -> tuple[list[int], int]:
-    """The maximal minors of ``rows`` of length n, each entry a reduced
-    (numerator, denominator) pair, computed over int: each row is scaled by
-    the lcm of its denominators.  Returns the minors of the scaled rows and the
-    product of the scales; dividing by it gives the true minors, and without
-    the division they are the same point of the Grassmannian."""
+def integer_minors(rows, n: int) -> tuple[list[int], int]:
+    """The maximal minors of rational (or int) ``rows`` of length n, computed over
+    int: each row is scaled by the lcm of its denominators.  Returns the minors of
+    the scaled rows and the product of the scales; dividing by it gives the true
+    minors, and without the division they are the same point of the Grassmannian."""
     scaled, den = [], 1
     for row in rows:
-        scale = math.lcm(*[d for _, d in row])
-        scaled.append([a * scale // d for a, d in row])
+        scale = math.lcm(*[x.denominator for x in row])
+        scaled.append([x.numerator * scale // x.denominator for x in row])
         den *= scale
     return _minors(scaled, n), den
 
 
-def integer_minors(rows, n: int) -> tuple[list[int], int]:
-    """:func:`pair_minors` of rational (or int) ``rows``."""
-    return pair_minors([[(x.numerator, x.denominator) for x in row] for row in rows], n)
+def _sampled_minors(layout, n: int, units: int, count: int, rng: random.Random) -> list:
+    """The int maximal minors of ``count`` seeded rational matrices of width n, as
+    columns: column p holds the p-th minor, in lex order, of every matrix.  A matrix
+    draws ``units`` nonzero entries, then the rest, with the RNG calls of
+    ``QQ.random_nonzero`` and ``QQ.random_element``; ``layout`` places them: per row,
+    its pivot column (entry 1) or None, and its (column, draw index) pairs, 0-based.
+    Rows are scaled by the lcm of their denominators, so each vector is exactly
+    ``integer_minors`` of its matrix.  ``_minors``'s recursion runs on whole columns
+    with C-level ``map``.  A zero is None and skipped.  A row without draws keeps
+    the constant pivot 1, so a minor of such rows only is a constant, 1 or -1, and
+    costs no product; a minor that meets a row with draws is a column."""
+    width, draws = sum(len(entries) for _, entries in layout), []
+    for _ in range(count):  # the units by rejection, as QQ.random_nonzero draws them
+        draws += itertools.islice(filter(operator.itemgetter(0), iter(partial(QQ.random_pair, rng), None)), units)
+        draws += [QQ.random_pair(rng) for _ in range(width - units)]
+    rows = []
+    for pivot, entries in layout:
+        pairs = [tuple(zip(*draws[e::width])) for _, e in entries]  # (numerators, denominators)
+        scale = list(map(math.lcm, *[den for _, den in pairs])) if pairs else 1
+        row = {c: list(map(operator.floordiv, map(operator.mul, num, scale), den))
+               for (c, _), (num, den) in zip(entries, pairs)}
+        rows.append(row if pivot is None else {**row, pivot: scale})
+    minors = [1]
+    for j, row in enumerate(rows, start=1):
+        prev, minors = minors, []
+        for terms in _expansion(j, n):
+            const, acc = 0, None
+            for s, c, i in terms:
+                x, y = row.get(c), prev[i]
+                if x is None or y is None:
+                    continue
+                if isinstance(y, int):
+                    x, y = y, x
+                if isinstance(y, int):
+                    const += s * x * y
+                    continue
+                s, product = (s * x, y) if isinstance(x, int) else (s, map(operator.mul, x, y))
+                if acc is None:
+                    acc = product if s == 1 else map(operator.neg, product)
+                else:
+                    acc = map(operator.add if s == 1 else operator.sub, acc, product)
+            minors.append((const or None) if acc is None else list(acc))
+    zero = [0] * count
+    return [zero if m is None else [m] * count if isinstance(m, int) else m for m in minors]
 
 
 def _field_minors(m: ExactMatrix) -> list:
@@ -336,6 +377,21 @@ def _build_y(shape: YShape, zero, one, units, frees) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
+def _layout(shape: YShape) -> tuple:
+    """Where ``sample_y`` puts its draws, for ``_sampled_minors``: per row, its pivot
+    column and its (column, draw index) pairs, 0-based, the unit entries drawn first."""
+    units, frees = itertools.count(), itertools.count(shape.unit_count)
+    return tuple(
+        (g - 1, (((b - 1, next(units)),) if g > b else ()) + tuple((j - 1, next(frees)) for j in free))
+        for b, g, free in shape.rows
+    )
+
+
+def _dense(k: int, n: int) -> tuple:
+    """The ``_sampled_minors`` layout of a k x n matrix with every entry drawn, row by row."""
+    return tuple((None, tuple((c, i * n + c) for c in range(n))) for i in range(k))
+
+
 def sample_y(beta: KSubset, gamma: KSubset, field, seed) -> ExactMatrix:
     """A seeded random matrix in the banded space of (beta, gamma)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -343,19 +399,6 @@ def sample_y(beta: KSubset, gamma: KSubset, field, seed) -> ExactMatrix:
     units = [field.random_nonzero(rng) for _ in range(shape.unit_count)]
     frees = [field.random_element(rng) for _ in range(shape.star_count)]
     return ExactMatrix._of_rows(_build_y(shape, field.zero, field.one, units, frees), field)
-
-
-def sample_y_minors(shape: YShape, rng: random.Random) -> list[int]:
-    """``integer_minors`` of ``sample_y(beta, gamma, QQ, rng)``'s rows, exactly, from the
-    same draws in the same order, with each entry kept as a (numerator,
-    denominator) pair: no ``Fraction`` and no ``ExactMatrix`` is built."""
-    units = []
-    while len(units) < shape.unit_count:  # QQ.random_nonzero draws until nonzero
-        pair = QQ.random_pair(rng)
-        if pair[0]:
-            units.append(pair)
-    frees = [QQ.random_pair(rng) for _ in range(shape.star_count)]
-    return pair_minors(_build_y(shape, (0, 1), (1, 1), units, frees), shape.n)[0]
 
 
 def enumerate_y(beta: KSubset, gamma: KSubset, field: PrimeField) -> Iterator[ExactMatrix]:

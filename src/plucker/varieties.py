@@ -62,7 +62,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"Gaussian binomial ({n} choose {k})_{q} is not an integer")
     return num // den
 
 
@@ -243,9 +244,11 @@ def _top(lo: KSubset, support: int) -> KSubset:
     with this support.  The min is ``lo``, and the pair is the key of the point's open stratum."""
     subsets = enumerate_subsets(lo.k, lo.n)
     members = [s.elements for i, s in enumerate(subsets) if support >> i & 1]
-    assert tuple(map(min, zip(*members))) == lo.elements, "support lost its minimum"
+    if tuple(map(min, zip(*members))) != lo.elements:
+        raise RuntimeError("support lost its minimum")
     hi = tuple(map(max, zip(*members)))
-    assert hi in members, "support lost its maximum"
+    if hi not in members:
+        raise RuntimeError("support lost its maximum")
     return subsets[_subset_positions(lo.k, lo.n)[hi]]
 
 
@@ -267,7 +270,8 @@ def enumerate_grassmannian(
     the cached Schubert cells, chained in lex order of their pivot sets."""
     _check_budget(k, n, q, budget)
     points = tuple(itertools.chain.from_iterable(_cell(k, n, q, s) for s in enumerate_subsets(k, n)))
-    assert len(points) == gaussian_binomial(n, k, q)
+    if len(points) != gaussian_binomial(n, k, q):
+        raise RuntimeError(f"enumerated {len(points)} points of Gr({k}, {n}) over GF({q}), not their count")
     return points
 
 

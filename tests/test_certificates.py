@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -155,8 +156,8 @@ class TestPluckerRelation:
         # alpha minus beta a single element forces alpha' = beta and
         # beta' = alpha, so the relation is 0 iff the sign is +1
         alpha, beta = ks((1, 2), 4), ks((1, 4), 4)
-        terms = certs._exchange_terms(alpha, beta, 4)
-        assert terms == [(1, beta, alpha)]
+        terms = certs._exchange_terms(alpha.elements, beta.elements, 4)
+        assert terms == [(1, beta.elements, alpha.elements)]
         assert plucker_relation(alpha, beta, 4).is_zero()
 
     def test_precondition_rejected(self):
@@ -235,7 +236,7 @@ class TestPluckerRelation:
             certs._cofactor.cache_clear()
         table = relation_table(3, 6)
         assert len(table) == 600
-        assert all(certs._checked_exchange(*key)[0] in table for key in used)
+        assert all(plucker_relation(ks(a, 6), ks(o, 6), b) in table for a, o, b in used)
 
 
 class TestPrecedesT:
@@ -658,6 +659,15 @@ class TestIntegerRelations:
             assert len(terms) == len(rel.terms)
             assert value_oracle(terms, x) == evaluate(rel, point)
 
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 7) for k in range(1, min(n, 3) + 1)])
+    def test_positional_relations_are_the_compiled_table(self, k, n):
+        # built on element tuples and positions, as multisets of terms
+        pos = subsets._subset_positions(k, n)
+        table, compiled = relation_table(k, n), compiled_relations(k, n)
+        assert len(table) == len(compiled)
+        for rel, terms in zip(table, compiled):
+            assert Counter(certs._clear(certs._positional(rel.terms, pos))[1]) == Counter(terms)
+
     def test_gate_checks_the_relation_it_hands_out(self, monkeypatch):
         # a canonicalisation that loses a term must stop the build
         class DropsATerm(LaurentExpression):
@@ -737,6 +747,10 @@ class TestExactGate:
                 cache.cache_clear()
             with pytest.raises(RuntimeError, match="sign convention"):
                 relation_table(3, 6)
+            for cache in caches:
+                cache.cache_clear()
+            with pytest.raises(RuntimeError, match="sign convention"):
+                compiled_relations(3, 6)
             for cache in caches:
                 cache.cache_clear()
             with pytest.raises(RuntimeError, match="sign convention"):
@@ -863,7 +877,7 @@ def identities_of(k, n):
         yield ((), terms), minors
     for cert in certificates_of(k, n):
         shape = matrices.YShape(cert.beta, cert.gamma)
-        good = [matrices.sample_y_minors(shape, rng) for _ in range(4)]
+        good = list(zip(*matrices._sampled_minors(matrices._layout(shape), n, shape.unit_count, 4, rng)))
         yield certs._compile(cert, cert.target, cert.cofactor), good
         if cert.pivot_inverse is not None:
             yield certs._compile(cert, None, cert.pivot_inverse), good

@@ -90,8 +90,8 @@ def test_claim_ids_are_the_nine_claims_in_order():
 
 def test_seeded_draws_repeat_and_follow_the_seed(monkeypatch):
     # a passing report does not depend on the drawn points, so record them:
-    # Thm3's banded matrices and Lem4's int minor vectors
-    build, build_minors = claims.sample_y, claims.sample_y_minors
+    # Thm3's banded matrices and Lem4's int minor columns
+    build, build_minors = claims.sample_y, claims._sampled_minors
 
     def draws(seed):
         drawn = []
@@ -101,13 +101,13 @@ def test_seeded_draws_repeat_and_follow_the_seed(monkeypatch):
             drawn.append(("Thm3", beta, gamma, m.rows))
             return m
 
-        def recorded_minors(shape, rng):
-            minors = build_minors(shape, rng)
-            drawn.append(("Lem4", shape.beta, shape.gamma, minors))
-            return minors
+        def recorded_minors(layout, n, units, count, rng):
+            columns = build_minors(layout, n, units, count, rng)
+            drawn.append(("Lem4", layout, columns))
+            return columns
 
         monkeypatch.setattr(claims, "sample_y", recorded)
-        monkeypatch.setattr(claims, "sample_y_minors", recorded_minors)
+        monkeypatch.setattr(claims, "_sampled_minors", recorded_minors)
         report = claims.run_all(dataclasses.replace(CFG, seed=seed), ("Thm3-roundtrip", "Lem4-certificates"))
         assert report.overall == reports.PASS
         return drawn

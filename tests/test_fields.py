@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,30 @@ class TestFp:
             assert f.parse(f.format(f(v))) == f(v)
         with pytest.raises(ParseError):
             f.parse("x")
+
+
+# One integer reader, errors.ascii_int, behind both parsers: leading zeros are read,
+# signs other than one leading "-" (rationals only), "_" and non-ASCII digits are not.
+@pytest.mark.parametrize("token,value", [("0", 0), ("007", 7), ("12", 5)])
+def test_residue_parser_keeps(token, value):
+    assert PrimeField(7).parse(token) == PrimeField(7)(value)
+
+
+@pytest.mark.parametrize("token", ["+1", "1_0", "١", "-1", "", " 1", "1/2"])
+def test_residue_parser_refuses(token):
+    with pytest.raises(ParseError, match=re.escape(f"bad residue {token!r} for GF(7)")):
+        PrimeField(7).parse(token)
+
+
+@pytest.mark.parametrize("token,value", [("-0", 0), ("007", 7), ("-3/06", Fraction(-1, 2)), ("4/2", 2)])
+def test_rational_parser_keeps(token, value):
+    assert QQ.parse(token) == value
+
+
+@pytest.mark.parametrize("token", ["+1", "1_0", "١", "1/0", "1/00", "1/-2", "--1", "1/", "1/2/3", "0.5", "1e9"])
+def test_rational_parser_refuses(token):
+    with pytest.raises(ParseError, match=re.escape(f"bad rational {token!r}")):
+        QQ.parse(token)
 
 
 class TestRationals:

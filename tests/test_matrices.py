@@ -30,7 +30,7 @@ from plucker import (
     w_membership,
     y_shape_check,
 )
-from plucker.matrices import integer_minors, sample_y_minors
+from plucker.matrices import _dense, _layout, _sampled_minors, integer_minors
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -272,15 +272,32 @@ class TestBandedShape:
                 assert len(set(mats)) == len(mats)
                 assert all(y_shape_check(m, b, g) for m in mats)
 
-    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
     def test_int_draw_is_exactly_the_scaled_minors_of_sample_y(self, k, n):
-        # the same RNG calls in the same order, each pair reduced as Fraction reduces it
-        for b, g in iter_comparable_pairs(k, n):
+        # the same RNG calls in the same order, each pair reduced as Fraction reduces it;
+        # column p holds the p-th minor of every draw, and beta == gamma draws nothing
+        pairs = list(iter_comparable_pairs(k, n))
+        assert any(b == g for b, g in pairs)
+        for b, g in pairs:
             shape = YShape(b, g)
             for seed in range(3):
                 rng, oracle = random.Random(seed), random.Random(seed)
-                assert sample_y_minors(shape, rng) == integer_minors(sample_y(b, g, QQ, oracle).rows, n)[0]
+                columns = _sampled_minors(_layout(shape), n, shape.unit_count, 4, rng)
+                draws = [integer_minors(sample_y(b, g, QQ, oracle).rows, n)[0] for _ in range(4)]
+                assert columns == [list(column) for column in zip(*draws)]
                 assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (3, 6)])
+    def test_dense_draw_is_exactly_the_scaled_minors_of_random_matrices(self, k, n):
+        # Eq1's matrices: every entry drawn, row by row, none a pivot
+        rng, oracle = random.Random(k * n), random.Random(k * n)
+        columns = _sampled_minors(_dense(k, n), n, 0, 5, rng)
+        draws = [
+            integer_minors([[QQ.random_element(oracle) for _ in range(n)] for _ in range(k)], n)[0]
+            for _ in range(5)
+        ]
+        assert columns == [list(column) for column in zip(*draws)]
+        assert rng.random() == oracle.random()
 
     def test_over_gf2_units_forced(self):
         b, g = KSubset((1, 2), 4), KSubset((3, 4), 4)
